@@ -39,7 +39,6 @@ from .ssd import (
     GapEval,
     InfeasibleTargetError,
     Priors,
-    SearchConfig,
     SimSizes,
     SsdResult,
     SsdTarget,
@@ -64,7 +63,6 @@ __all__ = [
     "InfeasibleTargetError",
     "LogBfSample",
     "Priors",
-    "SearchConfig",
     "SimSizes",
     "SsdResult",
     "SsdTarget",

@@ -52,7 +52,8 @@ class AnalysisPriorSample:
 
     The same sample (same seed) is reused across every q and every (n, m)
     in a run: common random numbers keep downstream searches deterministic
-    and quantile curves smooth in n.
+    and quantile curves smooth in n.  ``predictive.DesignPriorSample``
+    shares this validated vector and differs only in its random stream.
     """
 
     gammas: np.ndarray
@@ -62,9 +63,9 @@ class AnalysisPriorSample:
     def __post_init__(self):
         gammas = np.asarray(self.gammas, dtype=float)
         if gammas.ndim != 1 or gammas.size < 1:
-            raise ValueError("analysis prior sample must be a non-empty 1-d vector")
+            raise ValueError("prior sample must be a non-empty 1-d vector")
         if np.any(gammas < 0) or not np.all(np.isfinite(gammas)):
-            raise ValueError("analysis prior draws must be finite and nonnegative")
+            raise ValueError("prior draws must be finite and nonnegative")
         object.__setattr__(self, "gammas", gammas)
 
     @classmethod

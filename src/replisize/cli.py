@@ -63,6 +63,15 @@ DEFAULT_CONFIG = {
     "target": {"mode": "conditional", "alpha": 0.01, "power": 0.8, "pi0": 0.5},
 }
 
+# Every key a configuration may hold, each with the keys of its object value.
+_PRIOR_KEYS = {"family", "nu", "mu", "sigma"}
+_CONFIG_KEYS = {
+    "analysis_prior": _PRIOR_KEYS, "design_prior": _PRIOR_KEYS,
+    "target": {"mode", "alpha", "power", "pi0"}, "cost": {"c1", "c2"},
+    "output": {"format", "path"},
+    "s": set(), "t_count": set(), "seed": set(), "m_values": set(), "workers": set(),
+}
+
 
 @dataclass
 class RunConfig:
@@ -151,64 +160,69 @@ def resolve_config(args, *, need=()):
     return _validate_config(cfg, need=set(need))
 
 
-def _validate_config(cfg, need):
+def _parse(name, build, *args):
+    """``build(*args)``, with any error it raises about a bad value reported
+    as a ConfigError about ``name``."""
     try:
-        analysis_prior = prior_from_dict(_require(cfg, "analysis_prior"))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as err:
-        raise ConfigError(f"analysis_prior: {err}")
-    s = int(_require(cfg, "s"))
-    seed = int(_require(cfg, "seed"))
+        return build(*args)
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as err:
+        raise ConfigError(f"{name}: {err}") from None
+
+
+def _check_keys(cfg):
+    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+    unknown += [f"{key}.{sub}" for key, value in cfg.items()
+                if key in _CONFIG_KEYS and isinstance(value, dict)
+                for sub in value if sub not in _CONFIG_KEYS[key]]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+
+
+def _validate_config(cfg, need):
+    _check_keys(cfg)
+    analysis_prior = _parse("analysis_prior", prior_from_dict,
+                            _require(cfg, "analysis_prior"))
+    s = _parse("s", int, _require(cfg, "s"))
+    seed = _parse("seed", int, _require(cfg, "seed"))
     if s < 100:
         raise ConfigError(f"s must be >= 100, got {s}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
     run = RunConfig(analysis_prior=analysis_prior, s=s, seed=seed)
-    run.workers = int(cfg.get("workers", 1))
+    run.workers = _parse("workers", int, cfg.get("workers", 1))
+    if run.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {run.workers}")
     run.output = cfg.get("output")
+    if not isinstance(run.output, (dict, type(None))):
+        raise ConfigError("output must be an object")
 
     if "design_prior" in need:
-        try:
-            run.design_prior = prior_from_dict(_require(cfg, "design_prior"))
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, KeyError) as err:
-            raise ConfigError(f"design_prior: {err}")
+        run.design_prior = _parse("design_prior", prior_from_dict,
+                                  _require(cfg, "design_prior"))
     if "t_count" in need:
-        run.t_count = int(_require(cfg, "t_count"))
+        run.t_count = _parse("t_count", int, _require(cfg, "t_count"))
         if run.t_count < 100:
             raise ConfigError(f"t_count must be >= 100, got {run.t_count}")
     if "m_values" in need:
         values = _require(cfg, "m_values")
         if not isinstance(values, list) or not values:
             raise ConfigError("m_values must be a non-empty list of integers")
-        run.m_values = [int(v) for v in values]
+        run.m_values = _parse("m_values", lambda: [int(v) for v in values])
         if any(m < 3 for m in run.m_values):
             raise ConfigError("m_values must all be >= 3")
     if "target" in need:
         spec = _require(cfg, "target")
-        try:
-            run.target = SsdTarget(
-                mode=spec.get("mode", "conditional"),
-                alpha=float(_require(spec, "alpha")),
-                power=float(_require(spec, "power")),
-                pi0=float(spec.get("pi0", 0.5)),
-            )
-        except ConfigError as err:
-            raise ConfigError(f"target: {err}")
-        except (ValueError, TypeError, AttributeError) as err:
-            raise ConfigError(f"target: {err}")
-    if cfg.get("cost") is not None:
-        spec = cfg["cost"]
-        try:
-            run.cost = CostSpec(c1=float(_require(spec, "c1")),
-                                c2=float(_require(spec, "c2")))
-        except ConfigError as err:
-            raise ConfigError(f"cost: {err}")
-        except (ValueError, TypeError, AttributeError) as err:
-            raise ConfigError(f"cost: {err}")
+        run.target = _parse("target", lambda: SsdTarget(
+            mode=spec.get("mode", "conditional"),
+            alpha=float(_require(spec, "alpha")),
+            power=float(_require(spec, "power")),
+            pi0=float(spec.get("pi0", 0.5)),
+        ))
+    spec = cfg.get("cost")
+    if spec is not None:
+        run.cost = _parse("cost", lambda: CostSpec(c1=float(_require(spec, "c1")),
+                                                   c2=float(_require(spec, "c2"))))
     return run
 
 
@@ -280,7 +294,7 @@ def _resolve_out(args, run, default_name):
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     path = args.out or (run.output or {}).get("path") or default_name.format(fmt=fmt)
-    return Path(path), fmt
+    return _parse("output.path", Path, path), fmt
 
 
 def _emit_table(rows, columns, path, fmt, meta):
@@ -304,6 +318,7 @@ def _run_sweep(run, m_values, design_prior=None):
 
 def cmd_ssd(args):
     run = resolve_config(args, need=("design_prior", "t_count", "m_values", "target"))
+    path, fmt = _resolve_out(args, run, "ssd_results.{fmt}")
     started = time.perf_counter()
     results = _run_sweep(run, run.m_values)
     wall_ms = int((time.perf_counter() - started) * 1000)
@@ -313,7 +328,6 @@ def cmd_ssd(args):
         "target": {"mode": run.target.mode, "alpha": run.target.alpha,
                    "power": run.target.power, "pi0": run.target.pi0},
     })
-    path, fmt = _resolve_out(args, run, "ssd_results.{fmt}")
     _emit_table(rows, RESULT_COLUMNS, path, fmt, meta)
 
     print(f"wrote {len(rows)} rows to {path}")
@@ -335,7 +349,7 @@ def cmd_ssd(args):
 
 def cmd_predictive(args):
     run = resolve_config(args, need=("design_prior", "t_count"))
-    design = DesignPoint(n=args.n, m=args.m)
+    design = _parse("design", DesignPoint, args.n, args.m)
     started = time.perf_counter()
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     prior_d = DesignPriorSample.draw(run.design_prior, run.t_count, run.seed)
@@ -378,11 +392,12 @@ def cmd_sensitivity(args):
     columns = ["mu_gamma"] + RESULT_COLUMNS
     rows = []
     feasible = True
+    # every location and the output path are checked before the first sweep
+    priors = [_parse("mu_gamma", FoldedT, base.nu, mu, base.sigma)
+              for mu in args.mu_gamma]
+    path, fmt = _resolve_out(args, run, "sensitivity_results.{fmt}")
     started = time.perf_counter()
-    for mu in args.mu_gamma:
-        if mu < 0:
-            raise ConfigError(f"design prior locations must be nonnegative, got {mu}")
-        prior = FoldedT(nu=base.nu, mu=mu, sigma=base.sigma)
+    for mu, prior in zip(args.mu_gamma, priors):
         log.info("design prior location %.3g", mu)
         results = _run_sweep(run, run.m_values, design_prior=prior)
         for result in results:
@@ -392,7 +407,6 @@ def cmd_sensitivity(args):
     wall_ms = int((time.perf_counter() - started) * 1000)
 
     meta = _sidecar(run, wall_ms, extra={"mu_gamma_values": list(args.mu_gamma)})
-    path, fmt = _resolve_out(args, run, "sensitivity_results.{fmt}")
     _emit_table(rows, columns, path, fmt, meta)
     print(f"wrote {len(rows)} rows to {path}")
     if not feasible:
@@ -418,10 +432,10 @@ def evidence_band(bf01):
 
 def cmd_analyze(args):
     run = resolve_config(args, need=())
-    t = load_effect_sizes(args.data)
-    if args.sigma <= 0:
+    t = _parse("data", load_effect_sizes, args.data)
+    if not args.sigma > 0:
         raise ConfigError(f"sigma must be positive, got {args.sigma}")
-    design = DesignPoint(n=args.n, m=t.size)
+    design = _parse("design", DesignPoint, args.n, t.size)
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     q = compute_q(t, args.n, args.sigma)
     log_bf = float(log_bf01(q, design, prior_a, workers=run.workers))

@@ -56,10 +56,10 @@ class HalfT:
     sigma: float
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -97,12 +97,12 @@ class FoldedT:
     sigma: float
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

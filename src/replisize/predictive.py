@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bayes_factor import log_bf01
+from .bayes_factor import AnalysisPriorSample, log_bf01
 from .distributions import ChiSquared
 from .model import DesignPoint
 from .seeding import STREAM_DESIGN, STREAM_PREDICTIVE, substream
@@ -21,6 +21,8 @@ from .seeding import STREAM_DESIGN, STREAM_PREDICTIVE, substream
 __all__ = [
     "DesignPriorSample",
     "LogBfSample",
+    "draw_q0",
+    "q1_from_q0",
     "simulate_bf_m0",
     "simulate_bf_m1",
     "save_logbf_csv",
@@ -28,21 +30,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DesignPriorSample:
+class DesignPriorSample(AnalysisPriorSample):
     """Sample of size T from the design prior, one draw per predictive iteration."""
-
-    gammas: np.ndarray
-    seed: int | None = None
-    source: object = None
-
-    def __post_init__(self):
-        gammas = np.asarray(self.gammas, dtype=float)
-        if gammas.ndim != 1 or gammas.size < 1:
-            raise ValueError("design prior sample must be a non-empty 1-d vector")
-        if np.any(gammas < 0) or not np.all(np.isfinite(gammas)):
-            raise ValueError("design prior draws must be finite and nonnegative")
-        object.__setattr__(self, "gammas", gammas)
 
     @classmethod
     def draw(cls, prior, t_count, seed):
@@ -62,7 +51,6 @@ class LogBfSample:
     model: str  # "M0" or "M1"
     design: DesignPoint
     s: int
-    t_count: int
     seeds: tuple | None = None
 
     def __post_init__(self):
@@ -73,15 +61,28 @@ class LogBfSample:
             raise ValueError("log BF sample contains non-finite values")
         if self.model not in ("M0", "M1"):
             raise ValueError(f"model must be 'M0' or 'M1', got {self.model!r}")
-        if values.size != self.t_count:
-            raise ValueError(f"t_count={self.t_count} but {values.size} values")
         object.__setattr__(self, "values", values)
 
+    @property
+    def t_count(self):
+        return self.values.size
 
-def _chi2_stream(rng):
+
+def draw_q0(m, t_count, rng):
+    """T draws of q ~ chi2(m-1) from a Generator or from the predictive
+    stream of an integer master seed; returns ``(q, seeds)``, with seeds
+    None for a Generator."""
     if isinstance(rng, np.random.Generator):
-        return rng, None
-    return substream(rng, STREAM_PREDICTIVE), (int(rng), STREAM_PREDICTIVE)
+        gen, seeds = rng, None
+    else:
+        gen, seeds = substream(rng, STREAM_PREDICTIVE), (int(rng), STREAM_PREDICTIVE)
+    return ChiSquared(m - 1).sample(t_count, gen), seeds
+
+
+def q1_from_q0(q0, n, gammas):
+    """Q under M1: each M0 draw inflated by (1 + n * gamma^2), paired
+    index-wise with the design-prior draws."""
+    return q0 * (1.0 + n * gammas**2)
 
 
 def simulate_bf_m0(design, prior_a, t_count, rng, *, workers=1):
@@ -91,16 +92,13 @@ def simulate_bf_m0(design, prior_a, t_count, rng, *, workers=1):
     analysis-prior sample.  ``rng`` is a Generator or an integer master
     seed (the chi-squared stream is then derived from it).
     """
-    if t_count < 1:
-        raise ValueError(f"t_count must be >= 1, got {t_count}")
-    gen, seeds = _chi2_stream(rng)
-    q = ChiSquared(design.m - 1).sample(t_count, gen)
+    q, seeds = draw_q0(design.m, t_count, rng)
     values = log_bf01(q, design, prior_a, workers=workers)
     return LogBfSample(values=values, model="M0", design=design,
-                       s=prior_a.s, t_count=t_count, seeds=seeds)
+                       s=prior_a.s, seeds=seeds)
 
 
-def simulate_bf_m1(design, prior_a, prior_d, rng, *, t_count=None, workers=1):
+def simulate_bf_m1(design, prior_a, prior_d, rng, *, workers=1):
     """Predictive log BF01 sample under the design prior's heterogeneity.
 
     The t-th chi-squared draw is scaled by (1 + n * gamma_d[t]^2), pairing
@@ -108,16 +106,11 @@ def simulate_bf_m1(design, prior_a, prior_d, rng, *, t_count=None, workers=1):
     is zero this reproduces simulate_bf_m0 value for value at the same
     seed.
     """
-    if t_count is not None and t_count != prior_d.t_count:
-        raise ValueError(
-            f"requested t_count={t_count} but design prior sample has {prior_d.t_count}")
-    t_count = prior_d.t_count
-    gen, seeds = _chi2_stream(rng)
-    q = ChiSquared(design.m - 1).sample(t_count, gen)
-    q *= 1.0 + design.n * prior_d.gammas**2
+    q0, seeds = draw_q0(design.m, prior_d.t_count, rng)
+    q = q1_from_q0(q0, design.n, prior_d.gammas)
     values = log_bf01(q, design, prior_a, workers=workers)
     return LogBfSample(values=values, model="M1", design=design,
-                       s=prior_a.s, t_count=t_count, seeds=seeds)
+                       s=prior_a.s, seeds=seeds)
 
 
 def save_logbf_csv(sample, path, *, priors=None, wall_time_ms=None):
@@ -154,7 +147,10 @@ def load_logbf_csv(path):
     values = np.loadtxt(path, skiprows=1, dtype=float, ndmin=1)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
+    if values.size != meta["t_count"]:
+        raise ValueError(f"{path}: sidecar says t_count={meta['t_count']} "
+                         f"but the file holds {values.size} values")
     design = DesignPoint(n=meta["n"], m=meta["m"])
     seeds = tuple(meta["seeds"]) if meta.get("seeds") else None
     return LogBfSample(values=values, model=meta["model"], design=design,
-                       s=meta["s"], t_count=meta["t_count"], seeds=seeds)
+                       s=meta["s"], seeds=seeds)

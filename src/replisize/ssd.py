@@ -20,16 +20,14 @@ import time
 from dataclasses import dataclass
 
 from .bayes_factor import AnalysisPriorSample, log_bf01
-from .distributions import ChiSquared
 from .evidence import Thresholds, classify, threshold_from_alpha
 from .model import DesignPoint
-from .predictive import DesignPriorSample, LogBfSample
-from .seeding import STREAM_PREDICTIVE, STREAM_SWEEP, derive_seed, substream
+from .predictive import DesignPriorSample, LogBfSample, draw_q0, q1_from_q0
+from .seeding import STREAM_SWEEP, derive_seed
 
 __all__ = [
     "SsdTarget",
     "CostSpec",
-    "SearchConfig",
     "Priors",
     "SimSizes",
     "GapEval",
@@ -44,6 +42,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# The bracket search starts at N_INIT and gives up past N_MAX subjects per site.
+N_INIT = 10
+N_MAX = 10**6
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -88,23 +90,13 @@ class CostSpec:
     c2: float
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
+        if not (self.c1 >= 0 and self.c2 >= 0):
             raise ValueError("costs must be nonnegative")
         if self.c1 == 0 and self.c2 == 0:
             raise ValueError("at least one cost component must be positive")
 
     def total(self, n, m):
         return m * (self.c1 * n + self.c2)
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    n_init: int = 10
-    n_max: int = 10**6
-
-    def __post_init__(self):
-        if self.n_init < 1 or self.n_max < self.n_init:
-            raise ValueError("need 1 <= n_init <= n_max")
 
 
 @dataclass(frozen=True)
@@ -157,15 +149,11 @@ class _GapEvaluator:
         self.m = m
         self.target = target
         self.workers = workers
-        self.seed = int(master_seed)
         self.prior_a = AnalysisPriorSample.draw(priors.analysis, sim_sizes.s,
                                                 master_seed)
         self.prior_d = DesignPriorSample.draw(priors.design, sim_sizes.t_count,
                                               master_seed)
-        chi2 = ChiSquared(m - 1)
-        self.q_base = chi2.sample(sim_sizes.t_count, substream(master_seed,
-                                                               STREAM_PREDICTIVE))
-        self._scale = self.prior_d.gammas**2
+        self.q0, self.seeds = draw_q0(m, sim_sizes.t_count, master_seed)
         self.cache = {}
 
     def __call__(self, n):
@@ -175,15 +163,13 @@ class _GapEvaluator:
 
     def _evaluate(self, n):
         design = DesignPoint(n=n, m=self.m)
-        t_count = self.q_base.size
-        seeds = (self.seed, STREAM_PREDICTIVE)
-        lb0 = log_bf01(self.q_base, design, self.prior_a, workers=self.workers)
-        lb1 = log_bf01(self.q_base * (1.0 + n * self._scale), design,
+        lb0 = log_bf01(self.q0, design, self.prior_a, workers=self.workers)
+        lb1 = log_bf01(q1_from_q0(self.q0, n, self.prior_d.gammas), design,
                        self.prior_a, workers=self.workers)
         sample0 = LogBfSample(values=lb0, model="M0", design=design,
-                              s=self.prior_a.s, t_count=t_count, seeds=seeds)
+                              s=self.prior_a.s, seeds=self.seeds)
         sample1 = LogBfSample(values=lb1, model="M1", design=design,
-                              s=self.prior_a.s, t_count=t_count, seeds=seeds)
+                              s=self.prior_a.s, seeds=self.seeds)
 
         alpha = self.target.alpha
         inv_k1 = threshold_from_alpha(sample0, alpha, "lower")
@@ -211,20 +197,19 @@ def criterion_gap(n, m, target, priors, sim_sizes, master_seed, *, workers=1):
     return evaluator(n)
 
 
-def find_n_star(m, target, priors, sim_sizes, search_cfg=None, master_seed=0, *,
-                workers=1):
+def find_n_star(m, target, priors, sim_sizes, master_seed=0, *, workers=1):
     """Smallest n meeting the design criterion for m sites.
 
     Brackets the sign change of the gap by doubling (or halving) from
-    n_init, then shrinks the bracket by integer-rounded Regula Falsi
+    N_INIT, then shrinks the bracket by integer-rounded Regula Falsi
     interpolation, falling back to bisection when the same endpoint is
     replaced twice in a row.  Terminates when the bracket has width 1.
+    Raises InfeasibleTargetError when the gap is still negative at N_MAX.
     """
-    cfg = search_cfg or SearchConfig()
     gap = _GapEvaluator(m, target, priors, sim_sizes, master_seed,
                         workers=workers)
 
-    lo_eval = gap(cfg.n_init)
+    lo_eval = gap(N_INIT)
     if lo_eval.gap >= 0:
         hi_eval = lo_eval
         while hi_eval.n > 1:
@@ -237,12 +222,12 @@ def find_n_star(m, target, priors, sim_sizes, search_cfg=None, master_seed=0, *,
             return _result(m, hi_eval, gap, master_seed)
     else:
         while True:
-            n_next = min(2 * lo_eval.n, cfg.n_max)
+            n_next = min(2 * lo_eval.n, N_MAX)
             hi_eval = gap(n_next)
             if hi_eval.gap >= 0:
                 break
-            if n_next >= cfg.n_max:
-                raise InfeasibleTargetError(m, cfg.n_max, hi_eval.gap)
+            if n_next >= N_MAX:
+                raise InfeasibleTargetError(m, N_MAX, hi_eval.gap)
             lo_eval = hi_eval
 
     last_side, repeats = 0, 0
@@ -271,8 +256,7 @@ def _result(m, final_eval, evaluator, master_seed):
                      seed=int(master_seed))
 
 
-def sweep_m(m_values, target, priors, sim_sizes, master_seed, *,
-            search_cfg=None, workers=1):
+def sweep_m(m_values, target, priors, sim_sizes, master_seed, *, workers=1):
     """find_n_star for each m, with an independent per-m seed derivation.
 
     Results come back ordered by m.  An infeasible m is reported via the
@@ -284,8 +268,7 @@ def sweep_m(m_values, target, priors, sim_sizes, master_seed, *,
         started = time.perf_counter()
         try:
             result = find_n_star(m, target, priors, sim_sizes,
-                                 search_cfg=search_cfg, master_seed=seed_m,
-                                 workers=workers)
+                                 master_seed=seed_m, workers=workers)
         except InfeasibleTargetError as err:
             log.warning("m=%d: %s", m, err)
             continue

@@ -131,6 +131,40 @@ def test_paper_defaults_with_overrides(tmp_path, capsys):
     assert meta["seed"] == 77
 
 
+@pytest.mark.parametrize("argv", [
+    ["ssd", "--override", "s=abc"],
+    ["ssd", "--override", "s=Infinity"],
+    ["ssd", "--override", "workers=x"],
+    ["ssd", "--override", "workers=0"],
+    ["ssd", "--override", 'm_values=[8, "eight"]'],
+    ["ssd", "--override", "design_prior.sigma=NaN"],
+    ["ssd", "--override", "output.format=xml"],
+    ["ssd", "--override", "target.pwer=3", "--override", "worker=4"],
+    ["ssd", "--override", "design_prior.scale=1"],
+    ["predictive", "--n", "0", "--m", "8"],
+    ["predictive", "--n", "80", "--m", "1"],
+    ["analyze", "--data", "{bad_csv}", "--n", "50"],
+    ["sensitivity", "--mu-gamma", "0.2", "-0.1"],
+    ["sensitivity", "--mu-gamma", "0.2", "nan"],
+], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
+        "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
+        "predictive-m", "analyze-data", "sensitivity-late-negative-location",
+        "sensitivity-late-nan-location"])
+def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
+                                             monkeypatch, capsys):
+    bad_csv = tmp_path / "sites.csv"
+    bad_csv.write_text("t\n0.1\nabc\n0.3\n")
+    sweeps = []
+    monkeypatch.setattr("replisize.cli._run_sweep", lambda *a, **k: sweeps.append(a))
+    argv = [arg.format(bad_csv=bad_csv) for arg in argv]
+    code = main(argv[:1] + ["--config", str(config_path),
+                            "--out", str(tmp_path / "out")] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+    assert sweeps == []
+
+
 def test_config_and_paper_defaults_conflict(config_path, capsys):
     assert main(["ssd", "--config", str(config_path), "--paper-defaults"]) == 2
 

@@ -16,8 +16,7 @@ DESIGN_PRIOR = FoldedT(nu=4, mu=0.2, sigma=1 / 55)
 
 def _sample(values, model="M0", n=80, m=8):
     values = np.asarray(values, dtype=float)
-    return LogBfSample(values=values, model=model, design=DesignPoint(n, m),
-                       s=1, t_count=values.size)
+    return LogBfSample(values=values, model=model, design=DesignPoint(n, m), s=1)
 
 
 @pytest.fixture(scope="module")

@@ -104,23 +104,24 @@ def test_same_seed_same_sample_any_worker_count(prior_a, prior_d):
     assert one.seeds == (321, STREAM_PREDICTIVE)
 
 
-def test_t_count_mismatch_rejected(prior_a, prior_d):
+def test_t_count_mismatch_rejected(tmp_path, prior_a):
+    # a CSV cut short no longer matches the t_count in its sidecar
+    path = tmp_path / "m0.csv"
+    save_logbf_csv(simulate_bf_m0(D80x8, prior_a, 50, 1), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
     with pytest.raises(ValueError, match="t_count"):
-        simulate_bf_m1(D80x8, prior_a, prior_d, 1, t_count=prior_d.t_count + 1)
+        load_logbf_csv(path)
     with pytest.raises(ValueError):
         simulate_bf_m0(D80x8, prior_a, 0, 1)
 
 
 def test_log_bf_sample_validation(prior_a):
     with pytest.raises(ValueError):
-        LogBfSample(values=np.array([1.0, np.nan]), model="M0", design=D80x8,
-                    s=10, t_count=2)
+        LogBfSample(values=np.array([1.0, np.nan]), model="M0", design=D80x8, s=10)
     with pytest.raises(ValueError):
-        LogBfSample(values=np.array([1.0]), model="M2", design=D80x8,
-                    s=10, t_count=1)
-    with pytest.raises(ValueError):
-        LogBfSample(values=np.array([1.0]), model="M0", design=D80x8,
-                    s=10, t_count=5)
+        LogBfSample(values=np.array([1.0]), model="M2", design=D80x8, s=10)
+    assert LogBfSample(values=np.ones(5), model="M0", design=D80x8, s=10).t_count == 5
 
 
 def test_csv_export_round_trips_and_is_deterministic(tmp_path, prior_a, prior_d):

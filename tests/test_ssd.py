@@ -1,16 +1,21 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
+from replisize import ssd
+from replisize.bayes_factor import log_bf01
 from replisize.distributions import FoldedT, HalfT
+from replisize.model import DesignPoint
+from replisize.predictive import simulate_bf_m0, simulate_bf_m1
 from replisize.seeding import STREAM_SWEEP, derive_seed
 from replisize.ssd import (
     RESULT_COLUMNS,
     CostSpec,
     InfeasibleTargetError,
+    N_MAX,
     Priors,
-    SearchConfig,
     SimSizes,
     SsdResult,
     SsdTarget,
@@ -74,6 +79,26 @@ def test_gap_with_pointmass_design_prior_pins_alpha():
         assert g.gap < 0
         assert g.gap == pytest.approx(COND.alpha - COND.power,
                                       abs=2.0 / SMALL.t_count)
+
+
+def test_gap_samples_equal_predictive_simulation(monkeypatch):
+    # the search and the predictive export draw Q in one place: at the same
+    # seed the search's M0/M1 log BF draws are the exported ones, bit for bit
+    passes = []
+
+    def recording_log_bf01(q, design, prior, *, workers=1):
+        passes.append(log_bf01(q, design, prior, workers=workers))
+        return passes[-1]
+
+    monkeypatch.setattr(ssd, "log_bf01", recording_log_bf01)
+    evaluator = ssd._GapEvaluator(8, UNCOND, PRIORS, SMALL, SEED)
+    evaluator(60)
+    design = DesignPoint(n=60, m=8)
+    m0 = simulate_bf_m0(design, evaluator.prior_a, SMALL.t_count, SEED)
+    m1 = simulate_bf_m1(design, evaluator.prior_a, evaluator.prior_d, SEED)
+    assert len(passes) == 2
+    assert np.array_equal(passes[0], m0.values)
+    assert np.array_equal(passes[1], m1.values)
 
 
 def test_m_below_three_rejected():
@@ -142,19 +167,17 @@ def test_singleton_sweep_matches_direct_search():
 
 def test_infeasible_target_raises_with_last_gap():
     flat = Priors(ANALYSIS, FoldedT(nu=4, mu=0.0, sigma=1e-12))
-    cfg = SearchConfig(n_init=10, n_max=500)
     with pytest.raises(InfeasibleTargetError) as exc:
-        find_n_star(8, COND, flat, SMALL, search_cfg=cfg, master_seed=SEED)
+        find_n_star(8, COND, flat, SMALL, master_seed=SEED)
     assert exc.value.m == 8
-    assert exc.value.n_max == 500
+    assert exc.value.n_max == N_MAX == 10**6
     assert exc.value.last_gap < 0
 
 
 def test_sweep_skips_infeasible_m_and_continues(caplog):
     flat = Priors(ANALYSIS, FoldedT(nu=4, mu=0.0, sigma=1e-12))
-    cfg = SearchConfig(n_init=10, n_max=200)
     with caplog.at_level(logging.WARNING, logger="replisize.ssd"):
-        results = sweep_m([6, 8], COND, flat, SMALL, SEED, search_cfg=cfg)
+        results = sweep_m([6, 8], COND, flat, SMALL, SEED)
     assert results == []
     assert "m=6" in caplog.text and "m=8" in caplog.text
 
