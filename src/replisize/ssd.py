@@ -259,11 +259,11 @@ def _result(m, final_eval, evaluator, master_seed):
 def sweep_m(m_values, target, priors, sim_sizes, master_seed, *, workers=1):
     """find_n_star for each m, with an independent per-m seed derivation.
 
-    Results come back ordered by m.  An infeasible m is reported via the
-    module logger and skipped; the sweep continues.
+    Results come back ordered by m, one per distinct m.  An infeasible m is
+    reported via the module logger and skipped; the sweep continues.
     """
     results = []
-    for m in sorted(m_values):
+    for m in sorted(set(m_values)):
         seed_m = derive_seed(master_seed, STREAM_SWEEP, m)
         started = time.perf_counter()
         try:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from replisize import bayes_factor
 from replisize.bayes_factor import (
     AnalysisPriorSample,
     bf01_from_data,
@@ -114,6 +116,70 @@ def test_worker_count_does_not_change_results(sample_10k):
         log_bf01(q, design, sample_10k, workers=1),
         log_bf01(q, design, sample_10k, workers=8),
     )
+
+
+def _reference_log_bf01(q, design, gammas):
+    """log BF01 in the kernel's original expression order, unchunked:
+    temporaries for u and 1 + u, and the outer product of q with -b plus a.
+    """
+    n, m = design.n, design.m
+    u = n * gammas * gammas
+    a = 0.5 * (m - 1) * np.log(n) + 0.5 * (1 - m) * np.log1p(u)
+    b = 0.5 / (1.0 + u)
+    w = np.multiply.outer(q, -b) + a
+    mx = w.max(axis=1)
+    w -= mx[:, None]
+    np.exp(w, out=w)
+    out = 0.5 * (m - 1) * np.log(n) - 0.5 * q
+    out -= mx + np.log(w.mean(axis=1))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("rows", ["one", "three_plus", "all"])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_chunked_kernel_equals_unchunked_reference(monkeypatch, workers, rows,
+                                                   degenerate):
+    s_size, t_size = 500, 1000  # t_size is not a multiple of 3
+    chunk = {"one": s_size, "three_plus": 3 * s_size + 1,
+             "all": s_size * t_size}[rows]
+    monkeypatch.setattr(bayes_factor, "_CHUNK_ELEMS", chunk)
+    rng = np.random.default_rng(11)
+    gammas = np.zeros(s_size) if degenerate else ANALYSIS.sample(s_size, rng)
+    prior = AnalysisPriorSample(gammas)
+    q = rng.chisquare(5, size=t_size) * 4.0
+    q[17] = 0.0
+    design = DesignPoint(n=80, m=6)
+    got = log_bf01(q, design, prior, workers=workers)
+    assert np.array_equal(got, _reference_log_bf01(q, design, prior.gammas))
+    if degenerate:
+        assert np.all(got == 0.0)
+
+
+def _traced_peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_row_call_allocates_three_sample_vectors():
+    # a, b and one chunk row; more than that lets glibc trim and re-fault
+    # the heap on every request of a long run of one-row calls
+    prior = AnalysisPriorSample.draw(ANALYSIS, 100_000, seed=3)
+    t = np.random.default_rng(4).normal(0.2, 0.1, size=8)
+    bf01_from_data(t, 80, 1.0, prior)
+    peak = _traced_peak_bytes(lambda: bf01_from_data(t, 80, 1.0, prior))
+    assert peak <= 3 * prior.gammas.nbytes + 64 * 1024
+
+
+def test_batch_call_stays_within_one_chunk_buffer(sample_10k):
+    q = np.random.default_rng(8).chisquare(7, size=20_000)
+    design = DesignPoint(n=80, m=8)
+    peak = _traced_peak_bytes(lambda: log_bf01(q, design, sample_10k))
+    assert peak < 4 * 1024 * 1024
 
 
 def test_constant_data_attains_the_bf_maximum(sample_10k):

@@ -187,6 +187,19 @@ def _mock_result(n, m):
                      evaluations=0, seed=0)
 
 
+def test_sweep_searches_each_distinct_m_once(monkeypatch):
+    searched = []
+
+    def fake_search(m, *args, **kwargs):
+        searched.append(m)
+        return _mock_result(10, m)
+
+    monkeypatch.setattr(ssd, "find_n_star", fake_search)
+    results = sweep_m([8, 6, 8], COND, PRIORS, SMALL, SEED)
+    assert searched == [6, 8]
+    assert [r.m for r in results] == [6, 8]
+
+
 def test_cost_select_reduces_to_subject_count_without_site_cost():
     results = [_mock_result(n, m) for n, m in [(100, 8), (71, 12), (52, 16)]]
     best, total = cost_select(results, CostSpec(c1=1.0, c2=0.0))
