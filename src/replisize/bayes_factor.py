@@ -18,7 +18,7 @@ magnitudes that arise under M1 for realistic designs the linear-space terms
 underflow to zero in double precision.
 
 A quadrature evaluation of log m1 is provided as an independent check of
-the Monte Carlo path.
+the Monte Carlo path; it alone imports SciPy, and only when called.
 """
 
 import math
@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .model import DesignPoint, compute_q
 from .seeding import STREAM_ANALYSIS, substream
@@ -166,8 +165,15 @@ def log_m1_mc(q, design, prior, *, workers=1):
 
 
 def log_bf01(q, design, prior, *, workers=1):
-    """log BF01 = log_m0 - log_m1_mc; strictly decreasing in q when the
-    prior sample has any positive draw."""
+    """log BF01 = log_m0 - log_m1_mc.
+
+    Exactly, this is strictly decreasing in q when the prior sample has any
+    positive draw: its slope is a weighted mean of the draws' b (see
+    ``_mixture_terms``) minus 1/2, and b < 1/2 at gamma > 0.  Computed
+    values of close q can round to equal, so callers may rely only on them
+    being non-increasing in q; the property tests check that over realised
+    q.
+    """
     qa = _as_q_array(q)
     q1 = np.atleast_1d(qa)
     a, b = _mixture_terms(design, prior.gammas)
@@ -193,6 +199,8 @@ def log_m1_quadrature(q, design, prior_dist, *, grid_points=4001):
     ``prior_dist`` is a distribution object (HalfT or FoldedT), not a
     sample.
     """
+    from scipy import integrate
+
     q = float(q)
     if q < 0:
         raise ValueError("q must be nonnegative")

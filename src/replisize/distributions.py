@@ -12,12 +12,15 @@ Three families cover everything the package needs:
 
 All objects are immutable and safe to share across threads.  Sampling
 always takes an explicit seed or Generator; there is no hidden global RNG.
+
+Sampling needs only numpy.  SciPy is imported inside ``pdf``, ``cdf`` and
+``quantile``, the only methods that use it, so a process that only samples
+(every CLI subcommand) never pays SciPy's import time or memory.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 from .seeding import as_generator
 
@@ -33,6 +36,8 @@ def _quantile_by_root(dist, p):
     """Invert dist.cdf by bracketing + Brent to absolute tolerance 1e-8."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
+    from scipy import optimize
+
     hi = dist._tail_bound()
     while dist.cdf(hi) < p:
         hi *= 2.0
@@ -62,11 +67,15 @@ class HalfT:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def pdf(self, x):
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         out = np.where(x < 0, 0.0, 2.0 * stats.t.pdf(x / self.sigma, self.nu) / self.sigma)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         out = np.where(x < 0, 0.0, 2.0 * stats.t.cdf(x / self.sigma, self.nu) - 1.0)
         return out if out.ndim else float(out)
@@ -105,6 +114,8 @@ class FoldedT:
             raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
 
     def pdf(self, x):
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         lo = stats.t.pdf((x - self.mu) / self.sigma, self.nu)
         hi = stats.t.pdf((x + self.mu) / self.sigma, self.nu)
@@ -112,6 +123,8 @@ class FoldedT:
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         # P(|mu + sigma*T| <= x) = F_T((x-mu)/sigma) - F_T((-x-mu)/sigma)
         upper = stats.t.cdf((x - self.mu) / self.sigma, self.nu)
@@ -145,11 +158,15 @@ class ChiSquared:
             raise ValueError(f"df must be a positive integer, got {self.df}")
 
     def pdf(self, x):
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         out = stats.chi2.pdf(x, self.df)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         out = stats.chi2.cdf(x, self.df)
         return out if out.ndim else float(out)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from replisize import bayes_factor
@@ -15,8 +17,9 @@ from replisize.bayes_factor import (
     log_m1_mc,
     log_m1_quadrature,
 )
-from replisize.distributions import HalfT
+from replisize.distributions import FoldedT, HalfT
 from replisize.model import DesignPoint
+from replisize.predictive import DesignPriorSample, draw_q0, q1_from_q0
 
 ANALYSIS = HalfT(nu=4, sigma=1 / 7)
 
@@ -116,6 +119,44 @@ def test_worker_count_does_not_change_results(sample_10k):
         log_bf01(q, design, sample_10k, workers=1),
         log_bf01(q, design, sample_10k, workers=8),
     )
+
+
+priors = st.one_of(
+    st.builds(HalfT, nu=st.floats(1.0, 30.0), sigma=st.floats(0.005, 1.0)),
+    st.builds(FoldedT, nu=st.floats(1.0, 30.0), mu=st.floats(0.0, 0.5),
+              sigma=st.floats(0.005, 1.0)),
+)
+
+
+@st.composite
+def realised_cases(draw):
+    """A prior sample, a design and the sorted realised q of T simulated
+    studies, half under M0 and half under M1 (the prior as design prior)."""
+    prior = draw(priors)
+    design = DesignPoint(n=draw(st.integers(2, 1000)), m=draw(st.integers(2, 30)))
+    s, t_count = draw(st.integers(1, 2000)), draw(st.integers(2, 2000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sample = AnalysisPriorSample.draw(prior, s, seed)
+    q0, _ = draw_q0(design.m, t_count, seed)
+    q1 = q1_from_q0(q0[t_count // 2:], design.n,
+                    DesignPriorSample.draw(prior, t_count - t_count // 2, seed).gammas)
+    return sample, design, np.sort(np.concatenate([q0[:t_count // 2], q1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(realised_cases())
+def test_computed_log_bf01_is_non_increasing_in_realised_q(case):
+    sample, design, q = case
+    assert np.all(np.diff(log_bf01(q, design, sample)) <= 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(realised_cases())
+def test_log_bf01_is_bit_identical_at_any_worker_count(case):
+    sample, design, q = case
+    serial = log_bf01(q, design, sample)
+    for workers in (2, 3):
+        assert np.array_equal(log_bf01(q, design, sample, workers=workers), serial)
 
 
 def _reference_log_bf01(q, design, gammas):

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from replisize.bayes_factor import AnalysisPriorSample, bf01_from_data
+import replisize
+from replisize.bayes_factor import AnalysisPriorSample, bf01_from_data, log_bf01_quadrature
 from replisize.cli import (
     ConfigError,
     apply_override,
@@ -13,7 +18,8 @@ from replisize.cli import (
     parse_m_values,
     read_results_csv,
 )
-from replisize.distributions import HalfT
+from replisize.distributions import ChiSquared, FoldedT, HalfT
+from replisize.model import DesignPoint
 from replisize.predictive import load_logbf_csv
 from replisize.ssd import RESULT_COLUMNS
 
@@ -270,3 +276,47 @@ def test_evidence_band_labels():
     assert "M1" in evidence_band(1 / 20)
     assert "M0" in evidence_band(20.0)
     assert evidence_band(1.0) == "no evidence either way"
+
+
+# Every subcommand at a tiny size, then the SciPy-backed calls, in one
+# fresh interpreter; prints the loaded SciPy modules and the call results.
+COLD_START = """
+import contextlib, io, json, sys
+from pathlib import Path
+from replisize.cli import main
+
+tmp = Path(sys.argv[1])
+(tmp / "sites.csv").write_text("t\\n0.11\\n0.39\\n0.25\\n0.2\\n0.31\\n")
+small = ["--paper-defaults", "--override", "s=200", "--override", "t_count=300"]
+runs = [["ssd", *small, "--m", "5", "--out", str(tmp / "ssd.csv")],
+        ["sensitivity", *small, "--m", "5", "--mu-gamma", "0.2",
+         "--out", str(tmp / "sens.csv")],
+        ["predictive", *small, "--n", "80", "--m", "8", "--out", str(tmp / "pred.csv")],
+        ["analyze", *small, "--data", str(tmp / "sites.csv"), "--n", "80"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+from replisize.bayes_factor import log_bf01_quadrature
+from replisize.distributions import ChiSquared, FoldedT, HalfT
+from replisize.model import DesignPoint
+
+half, folded = HalfT(4, 1 / 7), FoldedT(4, 0.2, 1 / 55)
+values = [half.pdf(0.1), half.cdf(0.1), half.quantile(0.5), folded.pdf(0.2),
+          ChiSquared(7).cdf(6.0), log_bf01_quadrature(9.0, DesignPoint(80, 8), half)]
+print(json.dumps({"codes": codes, "loaded": loaded, "values": values}))
+"""
+
+
+def test_cli_loads_no_scipy_and_lazy_calls_work_cold(tmp_path):
+    src = Path(replisize.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"] == []
+    half, folded = HalfT(4, 1 / 7), FoldedT(4, 0.2, 1 / 55)
+    assert result["values"] == [
+        half.pdf(0.1), half.cdf(0.1), half.quantile(0.5), folded.pdf(0.2),
+        ChiSquared(7).cdf(6.0), log_bf01_quadrature(9.0, DesignPoint(80, 8), half)]

@@ -22,6 +22,12 @@ and a verdict against the metric's bound (from ``BENCHMARK.json``):
 ``gain`` is true when the change won at least nine of the ten pairs and its
 median beats the parent's by more than the parent's interquartile range.
 
+``cli_cold_start`` times ten alternating parent/change pairs of fresh
+``replisize analyze --paper-defaults --n 80`` processes on one fixed 5-site
+CSV: per side the median and quartiles of wall time (start-up included,
+which is most of it) and the largest ``ru_maxrss``, the pairs the change
+won, and whether both sides printed the same stdout.
+
 For both trees it also records the ``src/`` line count, the wall time of
 the tier-1 suite and the wall time of ``replisize ssd --paper-defaults
 --m 3..17``.  This takes about an hour and a half on two cores.  Run
@@ -42,9 +48,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-SSD_TABLE = [sys.executable, "-c",
-             "import sys; from replisize.cli import main; sys.exit(main())",
-             "ssd", "--paper-defaults", "--m", "3..17"]
+CLI = [sys.executable, "-c", "import sys; from replisize.cli import main; sys.exit(main())"]
+SSD_TABLE = CLI + ["ssd", "--paper-defaults", "--m", "3..17"]
+ANALYZE = CLI + ["analyze", "--paper-defaults", "--n", "80", "--data"]
+SITES = "t\n0.11\n0.39\n0.25\n0.20\n0.31\n"
 
 
 def src_lines(tree):
@@ -73,6 +80,45 @@ def timed(argv, tree, cwd):
     wall = time.perf_counter() - started
     tail = (proc.stdout.strip().splitlines() or [""])[-1]
     return {"wall_s": round(wall, 2), "exit": proc.returncode, "last_line": tail}
+
+
+def cold_start(tree, data):
+    """Wall seconds, peak RSS (KB), exit code and stdout of one fresh
+    ``analyze`` process against the package in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    started = time.perf_counter()
+    proc = subprocess.Popen(ANALYZE + [str(data)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True)
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    # wait4, not wait: it returns this child's own resource usage.
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - started
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return wall, usage.ru_maxrss, proc.returncode, stdout
+
+
+def cli_cold_start(trees, tmp):
+    """Ten alternating parent/change pairs of ``cold_start``, summarised."""
+    data = Path(tmp) / "sites.csv"
+    data.write_text(SITES)
+    runs = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(cold_start(trees[side], data))
+    summary = {"command": "replisize " + " ".join(ANALYZE[3:]) + " sites.csv",
+               "sites_csv": SITES, "pairs": PAIRS,
+               "same_stdout": len({out for side in runs.values()
+                                   for _, _, _, out in side}) == 1,
+               "change_wins": sum(c[0] < p[0] for p, c in zip(runs["parent"], runs["change"]))}
+    for side, results in runs.items():
+        walls = [wall for wall, _, _, _ in results]
+        q1, median, q3 = statistics.quantiles(walls, n=4)
+        summary[side] = {"wall_s": walls, "wall_median_s": median,
+                         "wall_q1_s": q1, "wall_q3_s": q3,
+                         "max_rss_mb": max(rss for _, rss, _, _ in results) / 1024,
+                         "exits": sorted({code for _, _, code, _ in results})}
+    return summary
 
 
 def side_health(runs):
@@ -151,6 +197,9 @@ def main(argv=None):
                   "checkout_src_or_tests_modified": bool(dirty.strip()),
                   "seed": args.seed, "seconds": BENCHMARK["run_seconds"], "pairs": PAIRS,
                   "info": None, "perfbench": {}}
+        record["cli_cold_start"] = cli_cold_start(trees, tmp)
+        print(f"cli_cold_start: {json.dumps(record['cli_cold_start'])[:400]}",
+              file=sys.stderr)
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             runs = {"parent": [], "change": []}
             for i in range(PAIRS):
