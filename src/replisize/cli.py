@@ -21,7 +21,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -178,41 +178,40 @@ def _check_keys(cfg):
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
-def _validate_config(cfg, need):
-    _check_keys(cfg)
-    analysis_prior = _parse("analysis_prior", prior_from_dict,
-                            _require(cfg, "analysis_prior"))
-    s = _parse("s", int, _require(cfg, "s"))
-    seed = _parse("seed", int, _require(cfg, "seed"))
-    if s < 100:
-        raise ConfigError(f"s must be >= 100, got {s}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+def _int_at_least(name, value, low):
+    number = _parse(name, int, value)
+    if number < low:
+        raise ConfigError(f"{name} must be >= {low}, got {number}")
+    return number
 
-    run = RunConfig(analysis_prior=analysis_prior, s=s, seed=seed)
-    run.workers = _parse("workers", int, cfg.get("workers", 1))
-    if run.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {run.workers}")
-    run.output = cfg.get("output")
+
+def _validate_config(cfg, need):
+    """Parse and range-check every field present; ``need`` names the
+    optional fields the subcommand requires."""
+    _check_keys(cfg)
+    for name in need:
+        _require(cfg, name)
+    run = RunConfig(
+        analysis_prior=_parse("analysis_prior", prior_from_dict,
+                              _require(cfg, "analysis_prior")),
+        s=_int_at_least("s", _require(cfg, "s"), 100),
+        seed=_int_at_least("seed", _require(cfg, "seed"), 0),
+        workers=_int_at_least("workers", cfg.get("workers", 1), 1),
+        output=cfg.get("output"),
+    )
     if not isinstance(run.output, (dict, type(None))):
         raise ConfigError("output must be an object")
-
-    if "design_prior" in need:
-        run.design_prior = _parse("design_prior", prior_from_dict,
-                                  _require(cfg, "design_prior"))
-    if "t_count" in need:
-        run.t_count = _parse("t_count", int, _require(cfg, "t_count"))
-        if run.t_count < 100:
-            raise ConfigError(f"t_count must be >= 100, got {run.t_count}")
-    if "m_values" in need:
-        values = _require(cfg, "m_values")
+    if cfg.get("design_prior") is not None:
+        run.design_prior = _parse("design_prior", prior_from_dict, cfg["design_prior"])
+    if cfg.get("t_count") is not None:
+        run.t_count = _int_at_least("t_count", cfg["t_count"], 100)
+    values = cfg.get("m_values")
+    if values is not None:
         if not isinstance(values, list) or not values:
             raise ConfigError("m_values must be a non-empty list of integers")
-        run.m_values = _parse("m_values", lambda: [int(v) for v in values])
-        if any(m < 3 for m in run.m_values):
-            raise ConfigError("m_values must all be >= 3")
-    if "target" in need:
-        spec = _require(cfg, "target")
+        run.m_values = [_int_at_least("m_values", m, 3) for m in values]
+    spec = cfg.get("target")
+    if spec is not None:
         run.target = _parse("target", lambda: SsdTarget(
             mode=spec.get("mode", "conditional"),
             alpha=float(_require(spec, "alpha")),
@@ -297,41 +296,50 @@ def _resolve_out(args, run, default_name):
     return _parse("output.path", Path, path), fmt
 
 
-def _emit_table(rows, columns, path, fmt, meta):
-    if fmt == "csv":
-        write_results_csv(rows, columns, path)
-    else:
-        _write_json({"results": rows, "meta": meta}, path)
-    _write_json(meta, str(path) + ".meta.json")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_sweep(run, m_values, design_prior=None):
-    priors = Priors(analysis=run.analysis_prior,
-                    design=design_prior or run.design_prior)
+def _run_sweep(run, design_prior):
+    priors = Priors(analysis=run.analysis_prior, design=design_prior)
     sizes = SimSizes(s=run.s, t_count=run.t_count)
-    return sweep_m(m_values, run.target, priors, sizes, run.seed,
+    return sweep_m(run.m_values, run.target, priors, sizes, run.seed,
                    workers=run.workers)
+
+
+def _sweep_table(run, groups, path, fmt, extra):
+    """One sweep over ``run.m_values`` per (leading columns, design prior)
+    group; writes the stacked rows and their sidecar.  Returns the results
+    and the exit code, 1 if some group left a requested m infeasible."""
+    rows, results, errors = [], [], []
+    started = time.perf_counter()
+    for lead, prior in groups:
+        where = "".join(f"{key}={value!r}, " for key, value in lead.items())
+        log.info("sweeping %sm in %s", where, sorted(set(run.m_values)))
+        found = _run_sweep(run, prior)
+        rows += [{**lead, **result_to_row(r)} for r in found]
+        results += found
+        missing = sorted(set(run.m_values) - {r.m for r in found})
+        if missing:
+            errors.append(f"error: target infeasible for {where}m in {missing}")
+    wall_ms = int((time.perf_counter() - started) * 1000)
+    meta = _sidecar(run, wall_ms, extra)
+    if fmt == "csv":
+        write_results_csv(rows, [*groups[0][0], *RESULT_COLUMNS], path)
+    else:
+        _write_json({"results": rows, "meta": meta}, path)
+    _write_json(meta, str(path) + ".meta.json")
+    print(f"wrote {len(rows)} rows to {path}")
+    for error in errors:
+        print(error, file=sys.stderr)
+    return results, 1 if errors else 0
 
 
 def cmd_ssd(args):
     run = resolve_config(args, need=("design_prior", "t_count", "m_values", "target"))
     path, fmt = _resolve_out(args, run, "ssd_results.{fmt}")
-    started = time.perf_counter()
-    results = _run_sweep(run, run.m_values)
-    wall_ms = int((time.perf_counter() - started) * 1000)
-    rows = [result_to_row(r) for r in results]
-
-    meta = _sidecar(run, wall_ms, extra={
-        "target": {"mode": run.target.mode, "alpha": run.target.alpha,
-                   "power": run.target.power, "pi0": run.target.pi0},
-    })
-    _emit_table(rows, RESULT_COLUMNS, path, fmt, meta)
-
-    print(f"wrote {len(rows)} rows to {path}")
-    for row in rows:
+    results, code = _sweep_table(run, [({}, run.design_prior)], path, fmt,
+                                 {"target": asdict(run.target)})
+    for row in map(result_to_row, results):
         k0 = "" if row["k0"] is None else f"  k0={row['k0']:.3f}"
         print(f"  m={row['m']:3d}  n*={row['n_star']:5d}  "
               f"1/k1={row['inv_k1']:.3f}{k0}")
@@ -339,12 +347,7 @@ def cmd_ssd(args):
         best, total = cost_select(results, run.cost)
         print(f"cheapest design: n={best.n_star}, m={best.m} "
               f"(total cost {total:g})")
-
-    missing = sorted(set(run.m_values) - {r.m for r in results})
-    if missing:
-        print(f"error: target infeasible for m in {missing}", file=sys.stderr)
-        return 1
-    return 0
+    return code
 
 
 def cmd_predictive(args):
@@ -389,30 +392,13 @@ def cmd_predictive(args):
 def cmd_sensitivity(args):
     run = resolve_config(args, need=("design_prior", "t_count", "m_values", "target"))
     base = run.design_prior
-    columns = ["mu_gamma"] + RESULT_COLUMNS
-    rows = []
-    feasible = True
+    mus = list(dict.fromkeys(args.mu_gamma))  # distinct, in the order given
     # every location and the output path are checked before the first sweep
-    priors = [_parse("mu_gamma", FoldedT, base.nu, mu, base.sigma)
-              for mu in args.mu_gamma]
+    groups = [({"mu_gamma": mu}, _parse("mu_gamma", FoldedT, base.nu, mu, base.sigma))
+              for mu in mus]
     path, fmt = _resolve_out(args, run, "sensitivity_results.{fmt}")
-    started = time.perf_counter()
-    for mu, prior in zip(args.mu_gamma, priors):
-        log.info("design prior location %.3g", mu)
-        results = _run_sweep(run, run.m_values, design_prior=prior)
-        for result in results:
-            rows.append({"mu_gamma": mu, **result_to_row(result)})
-        if len(results) < len(run.m_values):
-            feasible = False
-    wall_ms = int((time.perf_counter() - started) * 1000)
-
-    meta = _sidecar(run, wall_ms, extra={"mu_gamma_values": list(args.mu_gamma)})
-    _emit_table(rows, columns, path, fmt, meta)
-    print(f"wrote {len(rows)} rows to {path}")
-    if not feasible:
-        print("error: target infeasible for some (mu_gamma, m)", file=sys.stderr)
-        return 1
-    return 0
+    _, code = _sweep_table(run, groups, path, fmt, {"mu_gamma_values": mus})
+    return code
 
 
 def evidence_band(bf01):

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Thresholds", "EvidenceProbs", "classify", "threshold_from_alpha",
-           "probs_to_dict"]
+__all__ = ["Thresholds", "EvidenceProbs", "PROB_NAMES", "classify",
+           "threshold_from_alpha", "probs_to_dict"]
+
+# The nine probabilities of an EvidenceProbs, in reporting order.
+PROB_NAMES = ("p0_c", "p0_m", "p0_u", "p1_c", "p1_m", "p1_u", "p_c", "p_m", "p_u")
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,10 @@ def probs_to_dict(probs, thresholds=None):
     def se(p):
         return math.sqrt(p * (1.0 - p) / t)
 
-    names = ["p0_c", "p0_m", "p0_u", "p1_c", "p1_m", "p1_u", "p_c", "p_m", "p_u"]
-    out = {name: getattr(probs, name) for name in names}
+    out = {name: getattr(probs, name) for name in PROB_NAMES}
     out["pi0"] = probs.pi0
     out["t_count"] = t
-    out["se"] = {name: se(getattr(probs, name)) for name in names}
+    out["se"] = {name: se(getattr(probs, name)) for name in PROB_NAMES}
     if thresholds is not None:
         out["thresholds"] = {
             "k0": thresholds.k0 if math.isfinite(thresholds.k0) else None,

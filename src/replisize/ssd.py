@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .bayes_factor import AnalysisPriorSample, log_bf01
-from .evidence import Thresholds, classify, threshold_from_alpha
+from .evidence import PROB_NAMES, Thresholds, classify, threshold_from_alpha
 from .model import DesignPoint
 from .predictive import DesignPriorSample, LogBfSample, draw_q0, q1_from_q0
 from .seeding import STREAM_SWEEP, derive_seed
@@ -173,13 +173,9 @@ class _GapEvaluator:
 
         alpha = self.target.alpha
         inv_k1 = threshold_from_alpha(sample0, alpha, "lower")
-        if self.target.mode == "conditional":
-            th = Thresholds(k0=math.inf, inv_k1=inv_k1,
-                            derivation="from_alpha", alpha=alpha)
-        else:
-            k0 = threshold_from_alpha(sample1, alpha, "upper")
-            th = Thresholds(k0=k0, inv_k1=inv_k1,
-                            derivation="from_alpha", alpha=alpha)
+        k0 = (math.inf if self.target.mode == "conditional"
+              else threshold_from_alpha(sample1, alpha, "upper"))
+        th = Thresholds(k0=k0, inv_k1=inv_k1, derivation="from_alpha", alpha=alpha)
         # force=True: during a search the cutoffs act as mere test
         # statistics, and transient degenerate pairs at small n are
         # expected; the flag stays visible on the returned thresholds
@@ -290,11 +286,7 @@ def cost_select(results, cost):
     return best, cost.total(best.n_star, best.m)
 
 
-RESULT_COLUMNS = [
-    "m", "n_star", "inv_k1", "k0",
-    "p0_c", "p0_m", "p0_u", "p1_c", "p1_m", "p1_u", "p_c", "p_m", "p_u",
-    "evaluations", "seed",
-]
+RESULT_COLUMNS = ["m", "n_star", "inv_k1", "k0", *PROB_NAMES, "evaluations", "seed"]
 
 
 def result_to_row(result):
@@ -306,9 +298,7 @@ def result_to_row(result):
         "n_star": result.n_star,
         "inv_k1": th.inv_k1,
         "k0": th.k0 if math.isfinite(th.k0) else None,
-        "p0_c": probs.p0_c, "p0_m": probs.p0_m, "p0_u": probs.p0_u,
-        "p1_c": probs.p1_c, "p1_m": probs.p1_m, "p1_u": probs.p1_u,
-        "p_c": probs.p_c, "p_m": probs.p_m, "p_u": probs.p_u,
+        **{name: getattr(probs, name) for name in PROB_NAMES},
         "evaluations": result.evaluations,
         "seed": result.seed,
     }

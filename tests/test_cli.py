@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import replisize
+from replisize import cli
 from replisize.bayes_factor import AnalysisPriorSample, bf01_from_data, log_bf01_quadrature
 from replisize.cli import (
     ConfigError,
@@ -152,17 +153,27 @@ def test_paper_defaults_with_overrides(tmp_path, capsys):
     ["analyze", "--data", "{bad_csv}", "--n", "50"],
     ["sensitivity", "--mu-gamma", "0.2", "-0.1"],
     ["sensitivity", "--mu-gamma", "0.2", "nan"],
+    # fields a subcommand does not use are still checked when present
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "t_count=abc"],
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "target.alpha=7"],
+    ["analyze", "--data", "{good_csv}", "--n", "50",
+     "--override", "design_prior.family=nope"],
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "m_values=[1]"],
+    ["predictive", "--n", "80", "--m", "8", "--override", "target.alpha=7"],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
-        "sensitivity-late-nan-location"])
+        "sensitivity-late-nan-location", "analyze-t-count", "analyze-alpha",
+        "analyze-design-family", "analyze-m-values", "predictive-alpha"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
                                              monkeypatch, capsys):
     bad_csv = tmp_path / "sites.csv"
     bad_csv.write_text("t\n0.1\nabc\n0.3\n")
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("t\n0.11\n0.39\n0.25\n0.2\n")
     sweeps = []
     monkeypatch.setattr("replisize.cli._run_sweep", lambda *a, **k: sweeps.append(a))
-    argv = [arg.format(bad_csv=bad_csv) for arg in argv]
+    argv = [arg.format(bad_csv=bad_csv, good_csv=good_csv) for arg in argv]
     code = main(argv[:1] + ["--config", str(config_path),
                             "--out", str(tmp_path / "out")] + argv[1:])
     err = capsys.readouterr().err
@@ -227,6 +238,22 @@ def test_sensitivity_stacks_locations(tmp_path, config_path):
     rows = read_results_csv(out)
     assert [r["mu_gamma"] for r in rows] == [0.15, 0.3]
     assert rows[0]["n_star"] > rows[1]["n_star"]  # smaller location is harder
+
+
+def test_sensitivity_sweeps_each_distinct_location_once(tmp_path, config_path,
+                                                       monkeypatch, capsys):
+    sweeps = []
+    real_sweep = cli._run_sweep
+    monkeypatch.setattr(cli, "_run_sweep",
+                        lambda *a, **k: sweeps.append(a) or real_sweep(*a, **k))
+    out = tmp_path / "sens.csv"
+    code = main(["sensitivity", "--config", str(config_path), "--m", "8,8",
+                 "--mu-gamma", "0.2", "0.2", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert len(sweeps) == 1
+    assert [(r["mu_gamma"], r["m"]) for r in read_results_csv(out)] == [(0.2, 8)]
+    meta = json.loads((tmp_path / "sens.csv.meta.json").read_text())
+    assert meta["mu_gamma_values"] == [0.2]
 
 
 def test_sensitivity_singleton_matches_ssd(tmp_path, config_path):

@@ -3,8 +3,9 @@
 Runs the ``replisize`` subcommands in-process at small simulation sizes
 (ssd as CSV and JSON, unconditional ssd, sensitivity, predictive with one
 and two workers, analyze), masks the ``wall_time_ms`` values, and prints
-``<sha256>  <file>`` for every file written.  Two checkouts whose outputs
-agree byte for byte print the same lines:
+``<sha256>  <file>`` for every file written and ``<sha256>  <run> (stdout)``
+for what each run printed.  Two checkouts whose outputs agree byte for byte
+print the same lines:
 
     python3 tools/output_digest.py > mine.txt
     python3 tools/output_digest.py --src ../other/src > theirs.txt
@@ -58,9 +59,8 @@ RUNS = [
 _WALL_TIME = re.compile(rb'"wall_time_ms": \d+')
 
 
-def masked_digest(path):
-    data = _WALL_TIME.sub(b'"wall_time_ms": 0', path.read_bytes())
-    return hashlib.sha256(data).hexdigest()
+def masked_digest(data):
+    return hashlib.sha256(_WALL_TIME.sub(b'"wall_time_ms": 0', data)).hexdigest()
 
 
 def main(argv=None):
@@ -81,15 +81,19 @@ def main(argv=None):
             Path("sites.csv").write_text(SITE_EFFECTS)
             outputs = Path("outputs")
             outputs.mkdir()
+            stdouts = []
             for name, tail in RUNS:
                 argv = [tail[0], "--config", "config.json"] + [
                     arg.format(out=outputs / name, data="sites.csv") for arg in tail[1:]]
-                with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stdout(io.StringIO()) as printed:
                     code = cli.main(argv)
                 if code != 0:
                     raise SystemExit(f"{' '.join(argv)} exited {code}")
+                stdouts.append((name, printed.getvalue()))
             for path in sorted(p for p in outputs.rglob("*") if p.is_file()):
-                print(f"{masked_digest(path)}  {path.relative_to(outputs)}")
+                print(f"{masked_digest(path.read_bytes())}  {path.relative_to(outputs)}")
+            for name, text in stdouts:
+                print(f"{masked_digest(text.encode())}  {name} (stdout)")
         finally:
             os.chdir(cwd)
     return 0
