@@ -63,7 +63,6 @@ class AnalysisPriorSample:
 
     gammas: np.ndarray
     seed: int | None = None
-    source: object = None
 
     def __post_init__(self):
         gammas = np.asarray(self.gammas, dtype=float)
@@ -77,7 +76,7 @@ class AnalysisPriorSample:
     def draw(cls, prior, s, seed):
         """Sample S values from ``prior`` on the analysis stream of ``seed``."""
         rng = substream(seed, STREAM_ANALYSIS)
-        return cls(gammas=prior.sample(s, rng), seed=int(seed), source=prior)
+        return cls(gammas=prior.sample(s, rng), seed=int(seed))
 
     @property
     def s(self):
@@ -196,8 +195,8 @@ def log_m1_quadrature(q, design, prior_dist, *, grid_points=4001):
     Independent check of the Monte Carlo path: integrates the exact
     integrand (shifted to avoid underflow) over gamma on a bounded
     interval whose tail contribution is negligible by Student-t decay.
-    ``prior_dist`` is a distribution object (HalfT or FoldedT), not a
-    sample.
+    ``prior_dist`` is a distribution object (a FoldedT, HalfT included),
+    not a sample.
     """
     from scipy import integrate
 
@@ -215,9 +214,8 @@ def log_m1_quadrature(q, design, prior_dist, *, grid_points=4001):
 
     # Upper limit: 50 prior scales past the location, also covering the
     # integrand peak at gamma^2 = q/(m-1) - 1/n when it exists.
-    mu = getattr(prior_dist, "mu", 0.0)
     peak = math.sqrt(max(q / (m - 1) - 1.0 / n, 0.0))
-    upper = max(mu + 50.0 * prior_dist.sigma, 2.0 * peak + 2.0)
+    upper = max(prior_dist.mu + 50.0 * prior_dist.sigma, 2.0 * peak + 2.0)
 
     grid = np.linspace(0.0, upper, grid_points)
     values = log_integrand(grid)

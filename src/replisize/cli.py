@@ -33,7 +33,6 @@ from .predictive import DesignPriorSample, save_logbf_csv, simulate_bf_m0, simul
 from .ssd import (
     RESULT_COLUMNS,
     CostSpec,
-    InfeasibleTargetError,
     Priors,
     SimSizes,
     SsdTarget,
@@ -180,6 +179,9 @@ def _check_keys(cfg):
 
 def _int_at_least(name, value, low):
     number = _parse(name, int, value)
+    # int() would quietly turn true into 1 and 600.7 into 600
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if number < low:
         raise ConfigError(f"{name} must be >= {low}, got {number}")
     return number
@@ -509,9 +511,6 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except InfeasibleTargetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3

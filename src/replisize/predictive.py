@@ -36,7 +36,7 @@ class DesignPriorSample(AnalysisPriorSample):
     @classmethod
     def draw(cls, prior, t_count, seed):
         rng = substream(seed, STREAM_DESIGN)
-        return cls(gammas=prior.sample(t_count, rng), seed=int(seed), source=prior)
+        return cls(gammas=prior.sample(t_count, rng), seed=int(seed))
 
     @property
     def t_count(self):
@@ -68,15 +68,12 @@ class LogBfSample:
         return self.values.size
 
 
-def draw_q0(m, t_count, rng):
-    """T draws of q ~ chi2(m-1) from a Generator or from the predictive
-    stream of an integer master seed; returns ``(q, seeds)``, with seeds
-    None for a Generator."""
-    if isinstance(rng, np.random.Generator):
-        gen, seeds = rng, None
-    else:
-        gen, seeds = substream(rng, STREAM_PREDICTIVE), (int(rng), STREAM_PREDICTIVE)
-    return ChiSquared(m - 1).sample(t_count, gen), seeds
+def draw_q0(m, t_count, seed):
+    """T draws of q ~ chi2(m-1) from the predictive stream of an integer
+    master seed; returns ``(q, seeds)``, seeds being that stream's
+    (seed, stream id)."""
+    rng = substream(seed, STREAM_PREDICTIVE)
+    return ChiSquared(m - 1).sample(t_count, rng), (int(seed), STREAM_PREDICTIVE)
 
 
 def q1_from_q0(q0, n, gammas):
@@ -85,28 +82,28 @@ def q1_from_q0(q0, n, gammas):
     return q0 * (1.0 + n * gammas**2)
 
 
-def simulate_bf_m0(design, prior_a, t_count, rng, *, workers=1):
+def simulate_bf_m0(design, prior_a, t_count, seed, *, workers=1):
     """Predictive log BF01 sample assuming no heterogeneity.
 
     Draws q ~ chi2(m-1) per iteration and records log_bf01(q) at the shared
-    analysis-prior sample.  ``rng`` is a Generator or an integer master
-    seed (the chi-squared stream is then derived from it).
+    analysis-prior sample.  The chi-squared stream is derived from the
+    integer master ``seed``.
     """
-    q, seeds = draw_q0(design.m, t_count, rng)
+    q, seeds = draw_q0(design.m, t_count, seed)
     values = log_bf01(q, design, prior_a, workers=workers)
     return LogBfSample(values=values, model="M0", design=design,
                        s=prior_a.s, seeds=seeds)
 
 
-def simulate_bf_m1(design, prior_a, prior_d, rng, *, workers=1):
+def simulate_bf_m1(design, prior_a, prior_d, seed, *, workers=1):
     """Predictive log BF01 sample under the design prior's heterogeneity.
 
     The t-th chi-squared draw is scaled by (1 + n * gamma_d[t]^2), pairing
     each iteration with its own design-prior draw.  When every design draw
     is zero this reproduces simulate_bf_m0 value for value at the same
-    seed.
+    integer master ``seed``.
     """
-    q0, seeds = draw_q0(design.m, prior_d.t_count, rng)
+    q0, seeds = draw_q0(design.m, prior_d.t_count, seed)
     q = q1_from_q0(q0, design.n, prior_d.gammas)
     values = log_bf01(q, design, prior_a, workers=workers)
     return LogBfSample(values=values, model="M1", design=design,

@@ -160,11 +160,17 @@ def test_paper_defaults_with_overrides(tmp_path, capsys):
      "--override", "design_prior.family=nope"],
     ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "m_values=[1]"],
     ["predictive", "--n", "80", "--m", "8", "--override", "target.alpha=7"],
+    # int() and float() would run these as s=600, m=8, one worker, nu=1
+    ["ssd", "--override", "s=600.7"],
+    ["ssd", "--override", "m_values=[8.9]"],
+    ["ssd", "--override", "workers=true"],
+    ["ssd", "--override", "analysis_prior.nu=true"],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
         "sensitivity-late-nan-location", "analyze-t-count", "analyze-alpha",
-        "analyze-design-family", "analyze-m-values", "predictive-alpha"])
+        "analyze-design-family", "analyze-m-values", "predictive-alpha",
+        "s-fraction", "m-values-fraction", "workers-bool", "prior-nu-bool"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
                                              monkeypatch, capsys):
     bad_csv = tmp_path / "sites.csv"
@@ -180,6 +186,20 @@ def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
     assert code == 2
     assert "config error" in err and "Traceback" not in err
     assert sweeps == []
+
+
+def test_counts_accept_integral_floats_and_errors_name_the_field(tmp_path, config_path,
+                                                                 capsys):
+    out = tmp_path / "out"
+    assert main(["predictive", "--config", str(config_path), "--n", "80", "--m", "8",
+                 "--override", "t_count=1e3", "--out", str(out)]) == 0
+    assert json.loads((out / "summary_n80_m8.json").read_text())["t_count"] == 1000
+    capsys.readouterr()
+    for override, message in [("s=600.7", "s must be an integer, got 600.7"),
+                              ("analysis_prior.nu=true",
+                               "analysis_prior: nu must be a number, got True")]:
+        assert main(["ssd", "--config", str(config_path), "--override", override]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_config_and_paper_defaults_conflict(config_path, capsys):

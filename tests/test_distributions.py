@@ -14,6 +14,36 @@ HALF = HalfT(nu=4, sigma=1 / 7)
 FOLDED = FoldedT(nu=4, mu=0.2, sigma=1 / 55)
 
 
+# HalfT is FoldedT with mu = 0.  Its former stand-alone formulas stay here
+# as the oracle for the inherited methods.
+@pytest.mark.parametrize("nu, sigma", [(4, 1 / 7), (1, 0.3), (30, 2.0)])
+def test_half_t_sample_is_bit_equal_to_the_half_t_formula(nu, sigma):
+    expected = np.abs(sigma * np.random.default_rng(5).standard_t(nu, size=50_000))
+    assert np.array_equal(HalfT(nu, sigma).sample(50_000, np.random.default_rng(5)),
+                          expected)
+
+
+@pytest.mark.parametrize("nu, sigma", [(4, 1 / 7), (1, 0.3), (30, 2.0)])
+def test_half_t_pdf_and_cdf_match_the_half_t_formulas(nu, sigma):
+    x = np.linspace(-1.0, 20.0, 20_001)
+    half = HalfT(nu, sigma)
+    pdf = np.where(x < 0, 0.0, 2.0 * stats.t.pdf(x / sigma, nu) / sigma)
+    cdf = np.where(x < 0, 0.0, 2.0 * stats.t.cdf(x / sigma, nu) - 1.0)
+    assert np.array_equal(half.pdf(x), pdf)
+    assert np.max(np.abs(half.cdf(x) - cdf)) <= 1e-15
+
+
+def test_half_t_keeps_its_constructor_repr_and_dict():
+    half = HalfT(4, 1 / 7)
+    assert half == HALF and half.mu == 0.0
+    assert repr(half) == "HalfT(nu=4, sigma=0.14285714285714285)"
+    assert prior_to_dict(half) == {"family": "half_t", "nu": 4, "sigma": 1 / 7}
+    with pytest.raises(TypeError):
+        HalfT(4, 0.2, 1 / 7)
+    with pytest.raises(TypeError):
+        HalfT(nu=4, mu=0.2, sigma=1 / 7)
+
+
 def test_folded_with_zero_location_equals_half_pointwise():
     folded = FoldedT(nu=4, mu=0.0, sigma=1 / 7)
     x = np.linspace(0, 5, 1000)
@@ -132,3 +162,7 @@ def test_prior_from_dict_rejects_bad_specs():
         prior_from_dict({"nu": 1, "sigma": 1})
     with pytest.raises(ValueError):
         prior_from_dict({"family": "half_t", "nu": 4, "sigma": 0.1, "mu": 0.3})
+    for key in ("nu", "mu", "sigma"):
+        with pytest.raises(ValueError, match=key):
+            prior_from_dict({"family": "folded_t", "nu": 4, "mu": 0.2, "sigma": 0.1,
+                             key: True})

@@ -1,17 +1,20 @@
-"""Print one sha256 per CLI output file, for byte-identity checks.
+"""Print one sha256 per CLI output file and demo, for byte-identity checks.
 
 Runs the ``replisize`` subcommands in-process at small simulation sizes
 (ssd as CSV and JSON, unconditional ssd, sensitivity, predictive with one
 and two workers, analyze), masks the ``wall_time_ms`` values, and prints
 ``<sha256>  <file>`` for every file written and ``<sha256>  <run> (stdout)``
-for what each run printed.  Two checkouts whose outputs agree byte for byte
-print the same lines:
+for what each run printed.  It then runs every ``demos/*.py`` of this
+checkout in a fresh process against the same package and prints
+``<sha256>  <demo> (stdout+stderr)``; the demos cover library values no CLI
+run reaches (quantiles, densities, quadrature).  Two checkouts whose
+outputs agree byte for byte print the same lines:
 
     python3 tools/output_digest.py > mine.txt
     python3 tools/output_digest.py --src ../other/src > theirs.txt
     diff mine.txt theirs.txt
 
-Takes about five seconds on one core.
+Takes about 20 seconds on two cores, most of it in the demos.
 """
 
 import argparse
@@ -21,6 +24,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -56,11 +60,24 @@ RUNS = [
     ("analyze.json", ["analyze", "--data", "{data}", "--n", "50", "--out", "{out}"]),
 ]
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
 _WALL_TIME = re.compile(rb'"wall_time_ms": \d+')
 
 
 def masked_digest(data):
     return hashlib.sha256(_WALL_TIME.sub(b'"wall_time_ms": 0', data)).hexdigest()
+
+
+def demo_output(demo, src, cwd):
+    """stdout then stderr of one demo run against the package in ``src``."""
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{demo.name} exited {proc.returncode}:\n"
+                         f"{proc.stderr.decode(errors='replace')}")
+    return proc.stdout + proc.stderr
 
 
 def main(argv=None):
@@ -69,7 +86,8 @@ def main(argv=None):
                         help="directory holding the replisize package (default: "
                              "this checkout's src)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
+    src = str(Path(args.src).resolve())  # the demos run from a temporary directory
+    sys.path.insert(0, src)
     from replisize import cli
 
     cwd = os.getcwd()
@@ -94,6 +112,9 @@ def main(argv=None):
                 print(f"{masked_digest(path.read_bytes())}  {path.relative_to(outputs)}")
             for name, text in stdouts:
                 print(f"{masked_digest(text.encode())}  {name} (stdout)")
+            for demo in sorted(DEMOS.glob("*.py")):
+                digest = masked_digest(demo_output(demo, src, tmp))
+                print(f"{digest}  demos/{demo.name} (stdout+stderr)")
         finally:
             os.chdir(cwd)
     return 0
