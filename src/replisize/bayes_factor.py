@@ -18,7 +18,10 @@ magnitudes that arise under M1 for realistic designs the linear-space terms
 underflow to zero in double precision.
 
 A quadrature evaluation of log m1 is provided as an independent check of
-the Monte Carlo path; it alone imports SciPy, and only when called.
+the Monte Carlo path; it alone imports SciPy, and only when called.  Both
+paths compute log BF01 as log m0 - log m1 from the one ``log_m0``:
+``log_bf01`` with the Monte Carlo ``log_m1_mc``, ``log_bf01_quadrature``
+with ``log_m1_quadrature``.
 """
 
 import math
@@ -173,12 +176,7 @@ def log_bf01(q, design, prior, *, workers=1):
     being non-increasing in q; the property tests check that over realised
     q.
     """
-    qa = _as_q_array(q)
-    q1 = np.atleast_1d(qa)
-    a, b = _mixture_terms(design, prior.gammas)
-    out = (0.5 * (design.m - 1) * np.log(design.n) - 0.5 * q1)
-    out -= _log_mean_exp_rows(q1, a, b, workers=workers)
-    return float(out[0]) if qa.ndim == 0 else out
+    return log_m0(q, design) - log_m1_mc(q, design, prior, workers=workers)
 
 
 def bf01_from_data(t, n, sigma, prior, *, workers=1):
@@ -189,7 +187,7 @@ def bf01_from_data(t, n, sigma, prior, *, workers=1):
     return float(log_bf01(q, design, prior, workers=workers))
 
 
-def log_m1_quadrature(q, design, prior_dist, *, grid_points=4001):
+def log_m1_quadrature(q, design, prior_dist):
     """Adaptive-quadrature evaluation of log m1 against the prior density.
 
     Independent check of the Monte Carlo path: integrates the exact
@@ -217,7 +215,7 @@ def log_m1_quadrature(q, design, prior_dist, *, grid_points=4001):
     peak = math.sqrt(max(q / (m - 1) - 1.0 / n, 0.0))
     upper = max(prior_dist.mu + 50.0 * prior_dist.sigma, 2.0 * peak + 2.0)
 
-    grid = np.linspace(0.0, upper, grid_points)
+    grid = np.linspace(0.0, upper, 4001)
     values = log_integrand(grid)
     shift = float(values.max())
     peak_at = float(grid[int(np.argmax(values))])

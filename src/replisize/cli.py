@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .bayes_factor import AnalysisPriorSample, log_bf01
-from .distributions import FoldedT, prior_from_dict, prior_to_dict
+from .distributions import FoldedT, _number, prior_from_dict, prior_to_dict
 from .evidence import Thresholds, classify, probs_to_dict
 from .model import DesignPoint, compute_q, load_effect_sizes
 from .predictive import DesignPriorSample, save_logbf_csv, simulate_bf_m0, simulate_bf_m1
@@ -216,34 +216,26 @@ def _validate_config(cfg, need):
     if spec is not None:
         run.target = _parse("target", lambda: SsdTarget(
             mode=spec.get("mode", "conditional"),
-            alpha=float(_require(spec, "alpha")),
-            power=float(_require(spec, "power")),
-            pi0=float(spec.get("pi0", 0.5)),
+            alpha=_number("alpha", _require(spec, "alpha")),
+            power=_number("power", _require(spec, "power")),
+            pi0=_number("pi0", spec.get("pi0", 0.5)),
         ))
     spec = cfg.get("cost")
     if spec is not None:
-        run.cost = _parse("cost", lambda: CostSpec(c1=float(_require(spec, "c1")),
-                                                   c2=float(_require(spec, "c2"))))
+        run.cost = _parse("cost", lambda: CostSpec(c1=_number("c1", _require(spec, "c1")),
+                                                   c2=_number("c2", _require(spec, "c2"))))
     return run
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results_csv(rows, columns, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in columns])
+            writer.writerow([row.get(col) for col in columns])
 
 
 _INT_COLUMNS = {"m", "n_star", "evaluations", "seed"}

@@ -138,10 +138,6 @@ class ChiSquared:
         rng = as_generator(rng)
         return rng.chisquare(self.df, size=count)
 
-    @property
-    def mean(self):
-        return float(self.df)
-
 
 def prior_to_dict(prior):
     """JSON-ready description: {"family", "nu", "mu", "sigma"} (mu only if folded)."""
@@ -152,10 +148,9 @@ def prior_to_dict(prior):
     raise TypeError(f"not a prior distribution: {prior!r}")
 
 
-def _number(spec, key, default=None):
-    """``spec[key]`` (or ``default`` when given and the key is absent) as a
-    float; a JSON boolean is not a number here."""
-    value = spec[key] if default is None else spec.get(key, default)
+def _number(key, value):
+    """The ``value`` of config field ``key`` as a float; a JSON boolean is
+    not a number here."""
     if isinstance(value, bool):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
@@ -168,10 +163,10 @@ def prior_from_dict(spec):
     except (TypeError, KeyError):
         raise ValueError("prior specification must be an object with a 'family' key")
     if family == "half_t":
-        if _number(spec, "mu", 0.0) != 0.0:
+        if _number("mu", spec.get("mu", 0.0)) != 0.0:
             raise ValueError("half_t priors have no location; use folded_t")
-        return HalfT(nu=_number(spec, "nu"), sigma=_number(spec, "sigma"))
+        return HalfT(nu=_number("nu", spec["nu"]), sigma=_number("sigma", spec["sigma"]))
     if family == "folded_t":
-        return FoldedT(nu=_number(spec, "nu"), mu=_number(spec, "mu", 0.0),
-                       sigma=_number(spec, "sigma"))
+        return FoldedT(nu=_number("nu", spec["nu"]), mu=_number("mu", spec.get("mu", 0.0)),
+                       sigma=_number("sigma", spec["sigma"]))
     raise ValueError(f"unknown prior family {family!r} (expected 'half_t' or 'folded_t')")

@@ -48,7 +48,7 @@ class HierarchicalModelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
@@ -70,9 +70,9 @@ def compute_q(t, n, sigma):
     shift of every t_j and under joint rescaling of (t, sigma).
     """
     t = _validated_effects(t)
-    if n < 1:
+    if not n >= 1:  # written so that NaN fails too
         raise ValueError(f"n must be >= 1, got {n}")
-    if sigma <= 0:
+    if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
     centered = t - t.mean()
     return float(n * np.dot(centered, centered) / (sigma * sigma))

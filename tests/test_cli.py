@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import replisize
 from replisize import cli
@@ -18,6 +22,7 @@ from replisize.cli import (
     main,
     parse_m_values,
     read_results_csv,
+    write_results_csv,
 )
 from replisize.distributions import ChiSquared, FoldedT, HalfT
 from replisize.model import DesignPoint
@@ -73,6 +78,48 @@ def test_ssd_json_output(tmp_path, config_path):
     payload = json.loads(out.read_text())
     assert payload["results"][0]["m"] == 8
     assert payload["meta"]["t_count"] == 1500
+
+
+def _old_format_cell(value):
+    """The cell rule write_results_csv used before it handed cells to csv."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _cells(column):
+    floats = st.floats(allow_nan=False) | st.sampled_from([5e-324, -0.0, 1e-05])
+    values = st.integers(-10**6, 10**6) if column in cli._INT_COLUMNS else floats
+    return st.none() | values
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.fixed_dictionaries({col: _cells(col) for col in RESULT_COLUMNS}),
+                max_size=5))
+def test_results_csv_round_trips_in_the_old_format(tmp_path, rows):
+    path = tmp_path / "results.csv"
+    write_results_csv(rows, RESULT_COLUMNS, path)
+    # repr tells 1 from 1.0, -0.0 from 0.0 and None from both
+    assert [{k: repr(v) for k, v in row.items()} for row in read_results_csv(path)] \
+        == [{k: repr(v) for k, v in row.items()} for row in rows]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(RESULT_COLUMNS)
+    for row in rows:
+        writer.writerow([_old_format_cell(row[col]) for col in RESULT_COLUMNS])
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_results_csv_writes_numpy_floats_as_numbers(tmp_path):
+    path = tmp_path / "results.csv"
+    values = [0.3, 1e-05, -0.0, 5e-324, 1e300]
+    write_results_csv([{"m": 8, "inv_k1": np.float64(v)} for v in values],
+                      ["m", "inv_k1"], path)
+    back = [row["inv_k1"] for row in read_results_csv(path)]
+    assert [repr(v) for v in back] == [repr(v) for v in values]
 
 
 def test_override_changes_target(tmp_path, config_path):
@@ -165,12 +212,17 @@ def test_paper_defaults_with_overrides(tmp_path, capsys):
     ["ssd", "--override", "m_values=[8.9]"],
     ["ssd", "--override", "workers=true"],
     ["ssd", "--override", "analysis_prior.nu=true"],
+    # float() would run these as pi0 = 1 and c1 = 1
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "target.pi0=true"],
+    ["analyze", "--data", "{good_csv}", "--n", "50",
+     "--override", "cost.c1=true", "--override", "cost.c2=0"],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
         "sensitivity-late-nan-location", "analyze-t-count", "analyze-alpha",
         "analyze-design-family", "analyze-m-values", "predictive-alpha",
-        "s-fraction", "m-values-fraction", "workers-bool", "prior-nu-bool"])
+        "s-fraction", "m-values-fraction", "workers-bool", "prior-nu-bool",
+        "target-pi0-bool", "cost-c1-bool"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
                                              monkeypatch, capsys):
     bad_csv = tmp_path / "sites.csv"

@@ -43,10 +43,9 @@ def test_q_input_validation():
         compute_q([1.0], n=4, sigma=1.0)
     with pytest.raises(ValueError):
         compute_q([1.0, np.nan], n=4, sigma=1.0)
-    with pytest.raises(ValueError):
-        compute_q([1.0, 2.0], n=0, sigma=1.0)
-    with pytest.raises(ValueError):
-        compute_q([1.0, 2.0], n=4, sigma=0.0)
+    for n, sigma in [(0, 1.0), (np.nan, 1.0), (4, 0.0), (4, np.nan), (4, np.inf)]:
+        with pytest.raises(ValueError):
+            compute_q([1.0, 2.0], n=n, sigma=sigma)
 
 
 def test_design_point_validation():
@@ -54,8 +53,9 @@ def test_design_point_validation():
         DesignPoint(n=0, m=8)
     with pytest.raises(ValueError):
         DesignPoint(n=10, m=1)
-    with pytest.raises(ValueError):
-        HierarchicalModelSpec(sigma=0.0)
+    for sigma in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            HierarchicalModelSpec(sigma=sigma)
     with pytest.raises(ValueError):
         simulate_effect_sizes(SPEC, DesignPoint(10, 4), gamma=-0.1, mu=0.0, rng=1)
 

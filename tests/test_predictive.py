@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from replisize.bayes_factor import AnalysisPriorSample, log_bf01
 from replisize.distributions import FoldedT, HalfT
@@ -137,3 +139,16 @@ def test_csv_export_round_trips_and_is_deterministic(tmp_path, prior_a, prior_d)
     assert back.design == sample.design
     assert back.model == sample.model
     assert back.seeds == sample.seeds
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([5e-324, -0.0, 1e-05]), min_size=1, max_size=20))
+def test_csv_export_round_trips_any_finite_values(tmp_path, values):
+    sample = LogBfSample(values=np.array(values), model="M0", design=D80x8, s=10)
+    path = tmp_path / "bf.csv"
+    save_logbf_csv(sample, path)
+    back = load_logbf_csv(path).values
+    assert back.dtype == np.float64
+    assert np.array_equal(back.view(np.uint64), sample.values.view(np.uint64))
