@@ -43,15 +43,17 @@ __all__ = [
     "log_bf01_quadrature",
 ]
 
-# Elements per kernel chunk: a 2 MiB float64 buffer, so the six streaming
-# passes over a chunk (outer product, subtract, max, shift, exp, mean) run
-# in a 2 MB L2 cache rather than from memory.  Do not go lower: at
-# S = 1e5 a chunk is 2 rows (1.6 MB), which keeps glibc's trim threshold
-# (twice the largest block freed) above the three S-vectors a one-row call
-# allocates, so repeated one-row calls (``analyze``) reuse heap pages
-# instead of handing them back to the OS and faulting them in again.
-# The chunk grid depends only on the sample size, never on worker count.
-_CHUNK_ELEMS = 262_144
+# Elements per kernel chunk: a 1 MiB float64 buffer, so the chunk plus the
+# `a` and `b` vectors that every pass streams (2 x 80 KB at S = 1e4) fit a
+# 2 MB L2 cache, and the six passes over a chunk (outer product, subtract,
+# max, shift, exp, mean) run from cache rather than from memory.  A chunk
+# is never less than 2 rows: at S = 1e5 that is a 1.6 MB buffer, which
+# keeps glibc's trim threshold (twice the largest block freed) above the
+# three S-vectors a one-row call allocates, so repeated one-row calls
+# (``analyze``) reuse heap pages instead of handing them back to the OS
+# and faulting them in again.  The chunk grid depends only on the sample
+# size, never on worker count.
+_CHUNK_ELEMS = 131_072
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def _log_mean_exp_rows(q, a, b, workers=1):
     count.  Worker k runs chunks k, k + groups, ... in one reused buffer.
     """
     out = np.empty(q.shape)
-    rows = max(1, _CHUNK_ELEMS // a.size)
+    rows = max(2, _CHUNK_ELEMS // a.size)
     starts = range(0, q.size, rows)
     groups = max(1, min(workers, len(starts)))
 
@@ -176,7 +178,9 @@ def log_bf01(q, design, prior, *, workers=1):
     being non-increasing in q; the property tests check that over realised
     q.
     """
-    return log_m0(q, design) - log_m1_mc(q, design, prior, workers=workers)
+    # M1 first, so log_m0's T-vector is not alive while the kernel runs.
+    m1 = log_m1_mc(q, design, prior, workers=workers)
+    return log_m0(q, design) - m1
 
 
 def bf01_from_data(t, n, sigma, prior, *, workers=1):

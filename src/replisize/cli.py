@@ -413,11 +413,11 @@ def evidence_band(bf01):
 def cmd_analyze(args):
     run = resolve_config(args, need=())
     t = _parse("data", load_effect_sizes, args.data)
-    if not args.sigma > 0:
+    if not 0 < args.sigma < math.inf:
         raise ConfigError(f"sigma must be positive, got {args.sigma}")
     design = _parse("design", DesignPoint, args.n, t.size)
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
-    q = compute_q(t, args.n, args.sigma)
+    q = _parse("sigma", compute_q, t, args.n, args.sigma)
     log_bf = float(log_bf01(q, design, prior_a, workers=run.workers))
     bf = math.exp(log_bf)
     report = {

@@ -75,7 +75,11 @@ def compute_q(t, n, sigma):
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
     centered = t - t.mean()
-    return float(n * np.dot(centered, centered) / (sigma * sigma))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = float(n * np.dot(centered, centered) / (sigma * sigma))
+    if not np.isfinite(q):  # sigma^2 underflowed or the sum of squares overflowed
+        raise ValueError(f"Q is not finite at n={n}, sigma={sigma}")
+    return q
 
 
 def simulate_effect_sizes(spec, design, gamma, mu, rng):

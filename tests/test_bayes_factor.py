@@ -177,13 +177,16 @@ def _reference_log_bf01(q, design, gammas):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("rows", ["one", "three_plus", "all"])
+@pytest.mark.parametrize("rows", ["one", "below_floor", "odd_tail", "three_plus", "all"])
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_chunked_kernel_equals_unchunked_reference(monkeypatch, workers, rows,
                                                    degenerate):
-    s_size, t_size = 500, 1000  # t_size is not a multiple of 3
-    chunk = {"one": s_size, "three_plus": 3 * s_size + 1,
-             "all": s_size * t_size}[rows]
+    # "one" and "below_floor" hold fewer elements than two rows, so the
+    # two-row floor sets the chunk; "odd_tail" ends in a one-row chunk
+    s_size = 500
+    t_size = 999 if rows == "odd_tail" else 1000  # 1000 is not a multiple of 3
+    chunk = {"one": s_size, "below_floor": s_size - 1, "odd_tail": 2 * s_size,
+             "three_plus": 3 * s_size + 1, "all": s_size * t_size}[rows]
     monkeypatch.setattr(bayes_factor, "_CHUNK_ELEMS", chunk)
     rng = np.random.default_rng(11)
     gammas = np.zeros(s_size) if degenerate else ANALYSIS.sample(s_size, rng)
@@ -217,10 +220,12 @@ def test_one_row_call_allocates_three_sample_vectors():
 
 
 def test_batch_call_stays_within_one_chunk_buffer(sample_10k):
-    q = np.random.default_rng(8).chisquare(7, size=20_000)
+    # a paper-size pass (T = 5e4): a 1 MiB chunk, a and b, and the output,
+    # with log_m0's T-vector made only after the kernel has finished
+    q = np.random.default_rng(8).chisquare(7, size=50_000)
     design = DesignPoint(n=80, m=8)
     peak = _traced_peak_bytes(lambda: log_bf01(q, design, sample_10k))
-    assert peak < 4 * 1024 * 1024
+    assert peak < 1.75 * 1024 * 1024
 
 
 def test_constant_data_attains_the_bf_maximum(sample_10k):

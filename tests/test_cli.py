@@ -216,13 +216,16 @@ def test_paper_defaults_with_overrides(tmp_path, capsys):
     ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "target.pi0=true"],
     ["analyze", "--data", "{good_csv}", "--n", "50",
      "--override", "cost.c1=true", "--override", "cost.c2=0"],
+    # an infinite sigma, and one whose square underflows so that Q is infinite
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "inf"],
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "1e-200"],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
         "sensitivity-late-nan-location", "analyze-t-count", "analyze-alpha",
         "analyze-design-family", "analyze-m-values", "predictive-alpha",
         "s-fraction", "m-values-fraction", "workers-bool", "prior-nu-bool",
-        "target-pi0-bool", "cost-c1-bool"])
+        "target-pi0-bool", "cost-c1-bool", "analyze-sigma-inf", "analyze-sigma-tiny"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
                                              monkeypatch, capsys):
     bad_csv = tmp_path / "sites.csv"

@@ -6,7 +6,10 @@ The change is this checkout's working tree; the parent revision is exported
 with ``git archive`` into a temporary directory.  For each workload of
 ``perfbench/run.py`` the script runs ten parent/change pairs at the
 benchmark's own ``run_seconds``, alternating which side runs first, and
-keeps every run's result line and the first ``info`` line.  Per side it
+keeps every run's result line and the first ``info`` line.  It then makes
+one ``--trace 1`` run per side and keeps its per-layer metrics (kernel
+ns per element, busy seconds, page faults, ...) with the change's ratio to
+the parent, so a saving shows in the layer where it happens.  Per side it
 counts errored runs, incorrect runs and failed operations.  Per end-to-end
 metric it gives each side's median and quartiles, the pairs the change won
 and a verdict against the metric's bound (from ``BENCHMARK.json``):
@@ -58,11 +61,12 @@ def src_lines(tree):
     return sum(len(p.read_text().splitlines()) for p in (tree / "src").rglob("*.py"))
 
 
-def run_bench(tree, workload, seed):
-    """Result and info lines of one untraced perfbench run, or its error."""
+def run_bench(tree, workload, seed, trace=0):
+    """Result and info lines of one perfbench run, or its error."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+         "--trace", str(trace)],
         capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     info = next((json.loads(l[5:]) for l in lines if l.startswith("info ")), None)
@@ -171,6 +175,17 @@ def summarize(runs):
     return summary
 
 
+def per_layer(traced):
+    """Each side's traced run, and per layer metric the change's value
+    over the parent's (None where either side lacks it or the parent is 0)."""
+    values = {side: {name: m["value"] for name, m in r.get("metrics", {}).items()}
+              for side, r in traced.items()}
+    ratios = {name: (values["change"][name] / base
+                     if base and name in values["change"] else None)
+              for name, base in values["parent"].items()}
+    return {"runs": traced, "change_over_parent": ratios}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -210,7 +225,10 @@ def main(argv=None):
                     runs[side].append(result)
                     if side == "change" and record["info"] is None:
                         record["info"] = info
-            record["perfbench"][workload] = {"runs": runs, "summary": summarize(runs)}
+            traced = {side: run_bench(trees[side], workload, args.seed, trace=1)[0]
+                      for side in ("parent", "change")}
+            record["perfbench"][workload] = {"runs": runs, "summary": summarize(runs),
+                                             "per_layer": per_layer(traced)}
             out.write_text(json.dumps(record, indent=1) + "\n")  # keep partial results
 
         record["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
