@@ -183,12 +183,12 @@ def log_bf01(q, design, prior, *, workers=1):
     return log_m0(q, design) - m1
 
 
-def bf01_from_data(t, n, sigma, prior, *, workers=1):
+def bf01_from_data(t, n, sigma, prior):
     """log BF01 computed from a raw vector of site effect sizes."""
     t = np.asarray(t, dtype=float)
     q = compute_q(t, n, sigma)
     design = DesignPoint(n=n, m=t.size)
-    return float(log_bf01(q, design, prior, workers=workers))
+    return float(log_bf01(q, design, prior))
 
 
 def log_m1_quadrature(q, design, prior_dist):

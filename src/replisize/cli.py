@@ -19,6 +19,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -199,10 +200,18 @@ def _validate_config(cfg, need):
         s=_int_at_least("s", _require(cfg, "s"), 100),
         seed=_int_at_least("seed", _require(cfg, "seed"), 0),
         workers=_int_at_least("workers", cfg.get("workers", 1), 1),
-        output=cfg.get("output"),
+        output={} if cfg.get("output") is None else cfg["output"],
     )
-    if not isinstance(run.output, (dict, type(None))):
+    # each worker thread holds its own chunk buffer
+    if run.workers > (os.cpu_count() or 1):
+        raise ConfigError(f"workers must be <= the CPU count {os.cpu_count() or 1}, "
+                          f"got {run.workers}")
+    if not isinstance(run.output, dict):
         raise ConfigError("output must be an object")
+    if run.output.get("format") not in (None, "csv", "json"):
+        raise ConfigError(f"output.format must be csv or json, got {run.output['format']!r}")
+    if not isinstance(run.output.get("path"), (str, type(None))):
+        raise ConfigError(f"output.path must be a string, got {run.output['path']!r}")
     if cfg.get("design_prior") is not None:
         run.design_prior = _parse("design_prior", prior_from_dict, cfg["design_prior"])
     if cfg.get("t_count") is not None:
@@ -283,11 +292,9 @@ def _sidecar(run, wall_time_ms, extra=None):
 
 
 def _resolve_out(args, run, default_name):
-    fmt = args.format or (run.output or {}).get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    path = args.out or (run.output or {}).get("path") or default_name.format(fmt=fmt)
-    return _parse("output.path", Path, path), fmt
+    fmt = args.format or run.output.get("format") or "csv"
+    path = args.out or run.output.get("path") or default_name.format(fmt=fmt)
+    return Path(path), fmt
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +394,7 @@ def cmd_sensitivity(args):
     run = resolve_config(args, need=("design_prior", "t_count", "m_values", "target"))
     base = run.design_prior
     mus = list(dict.fromkeys(args.mu_gamma))  # distinct, in the order given
-    # every location and the output path are checked before the first sweep
+    # every location is checked before the first sweep
     groups = [({"mu_gamma": mu}, _parse("mu_gamma", FoldedT, base.nu, mu, base.sigma))
               for mu in mus]
     path, fmt = _resolve_out(args, run, "sensitivity_results.{fmt}")
@@ -400,7 +407,8 @@ def evidence_band(bf01):
     if bf01 == 1.0:
         return "no evidence either way"
     favoured = "no heterogeneity (M0)" if bf01 > 1.0 else "heterogeneity (M1)"
-    magnitude = bf01 if bf01 > 1.0 else 1.0 / bf01
+    # BF01 underflows to 0.0 below log BF01 = -745: decisive evidence for M1
+    magnitude = bf01 if bf01 > 1.0 else 1.0 / bf01 if bf01 > 0.0 else math.inf
     if magnitude < 3.0:
         label = "anecdotal"
     elif magnitude < 10.0:
@@ -413,12 +421,10 @@ def evidence_band(bf01):
 def cmd_analyze(args):
     run = resolve_config(args, need=())
     t = _parse("data", load_effect_sizes, args.data)
-    if not 0 < args.sigma < math.inf:
-        raise ConfigError(f"sigma must be positive, got {args.sigma}")
     design = _parse("design", DesignPoint, args.n, t.size)
-    prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     q = _parse("sigma", compute_q, t, args.n, args.sigma)
-    log_bf = float(log_bf01(q, design, prior_a, workers=run.workers))
+    prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
+    log_bf = float(log_bf01(q, design, prior_a))
     bf = math.exp(log_bf)
     report = {
         "data": str(args.data),
@@ -451,8 +457,6 @@ def _add_common(parser):
                         help="dotted-path config override (repeatable)")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", metavar="PATH", help="output path")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="table output format (default csv)")
 
 
 def build_parser():
@@ -465,6 +469,7 @@ def build_parser():
 
     p = sub.add_parser("ssd", help="optimal n per site count, as a table")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
     p.add_argument("--m", metavar="SPEC",
                    help="site counts, e.g. '8', '3,5,8' or '3..17'")
     p.set_defaults(func=cmd_ssd)
@@ -478,6 +483,7 @@ def build_parser():
     p = sub.add_parser("sensitivity",
                        help="ssd tables across design-prior locations")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
     p.add_argument("--m", metavar="SPEC", help="site counts, as for ssd")
     p.add_argument("--mu-gamma", type=float, nargs="+", required=True,
                    help="design prior locations to sweep")

@@ -219,13 +219,21 @@ def test_paper_defaults_with_overrides(tmp_path, capsys):
     # an infinite sigma, and one whose square underflows so that Q is infinite
     ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "inf"],
     ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "1e-200"],
+    # output.* is checked for every subcommand, not only where a table is written
+    ["predictive", "--n", "80", "--m", "8", "--override", "output.format=xml"],
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "output.format=xml"],
+    ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "output.path=5"],
+    # rejected while validating, so no thread is started
+    ["ssd", "--override", f"workers={(os.cpu_count() or 1) + 1}"],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
         "sensitivity-late-nan-location", "analyze-t-count", "analyze-alpha",
         "analyze-design-family", "analyze-m-values", "predictive-alpha",
         "s-fraction", "m-values-fraction", "workers-bool", "prior-nu-bool",
-        "target-pi0-bool", "cost-c1-bool", "analyze-sigma-inf", "analyze-sigma-tiny"])
+        "target-pi0-bool", "cost-c1-bool", "analyze-sigma-inf", "analyze-sigma-tiny",
+        "predictive-output-format", "analyze-output-format", "analyze-output-path",
+        "workers-above-cpu-count"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
                                              monkeypatch, capsys):
     bad_csv = tmp_path / "sites.csv"
@@ -241,6 +249,22 @@ def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
     assert code == 2
     assert "config error" in err and "Traceback" not in err
     assert sweeps == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["predictive", "--n", "80", "--m", "8"],
+    ["analyze", "--data", "{good_csv}", "--n", "50"],
+], ids=["predictive", "analyze"])
+def test_format_is_a_usage_error_where_no_table_is_written(argv, tmp_path, config_path,
+                                                           capsys):
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("t\n0.11\n0.39\n0.25\n0.2\n")
+    argv = [arg.format(good_csv=good_csv) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(config_path), "--out", str(tmp_path / "out"),
+                     "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_counts_accept_integral_floats_and_errors_name_the_field(tmp_path, config_path,
@@ -378,6 +402,20 @@ def test_evidence_band_labels():
     assert "M1" in evidence_band(1 / 20)
     assert "M0" in evidence_band(20.0)
     assert evidence_band(1.0) == "no evidence either way"
+    # an underflowed BF01
+    assert evidence_band(0.0) == "strong evidence for heterogeneity (M1)"
+
+
+def test_analyze_reports_underflowed_bf01_as_strong_evidence(tmp_path, capsys):
+    data = tmp_path / "spread.csv"
+    data.write_text("t\n0\n10\n20\n30\n")
+    code = main(["analyze", "--paper-defaults", "--n", "400", "--data", str(data),
+                 "--override", "s=1000"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["bf01"] == 0.0
+    assert -math.inf < report["log_bf01"] < -745
+    assert report["band"] == "strong evidence for heterogeneity (M1)"
 
 
 # Every subcommand at a tiny size, then the SciPy-backed calls, in one

@@ -7,8 +7,9 @@ import pytest
 from replisize import ssd
 from replisize.bayes_factor import log_bf01
 from replisize.distributions import FoldedT, HalfT
+from replisize.evidence import _nearest_rank
 from replisize.model import DesignPoint
-from replisize.predictive import simulate_bf_m0, simulate_bf_m1
+from replisize.predictive import q1_from_q0, simulate_bf_m0, simulate_bf_m1
 from replisize.seeding import STREAM_SWEEP, derive_seed
 from replisize.ssd import (
     RESULT_COLUMNS,
@@ -99,6 +100,29 @@ def test_gap_samples_equal_predictive_simulation(monkeypatch):
     assert len(passes) == 2
     assert np.array_equal(passes[0], m0.values)
     assert np.array_equal(passes[1], m1.values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mu", [0.1, 0.2])
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_conditional_search_matches_q_space_oracle(m, mu, seed):
+    # log BF01 is non-increasing in q, so the alpha-calibrated 1/k1 is BF01 at
+    # q*, the ceil(alpha T)-th largest q0, and p1_c counts the q1 above q*;
+    # no kernel call is needed to find n*
+    priors = Priors(ANALYSIS, FoldedT(nu=4, mu=mu, sigma=1 / 55))
+    sizes = SimSizes(s=600, t_count=1500)
+    evaluator = ssd._GapEvaluator(m, COND, priors, sizes, seed)
+    q_star = np.sort(evaluator.q0)[-_nearest_rank(COND.alpha, sizes.t_count)]
+
+    def p1_c(n):
+        q1 = q1_from_q0(evaluator.q0, n, evaluator.prior_d.gammas)
+        return np.count_nonzero(q1 > q_star) / sizes.t_count
+
+    n_star = find_n_star(m, COND, priors, sizes, master_seed=seed).n_star
+    assert p1_c(n_star) - COND.power >= 0
+    assert all(p1_c(n) - COND.power < 0 for n in range(1, n_star))
+    for n in (n_star - 1, n_star, n_star + 1, 2 * n_star):
+        assert evaluator(n).probs.p1_c == p1_c(n)
 
 
 def test_m_below_three_rejected():
