@@ -31,6 +31,7 @@ from .distributions import FoldedT, _number, prior_from_dict, prior_to_dict
 from .evidence import Thresholds, classify, probs_to_dict
 from .model import DesignPoint, compute_q, load_effect_sizes
 from .predictive import DesignPriorSample, save_logbf_csv, simulate_bf_m0, simulate_bf_m1
+from .predictive import _write_json
 from .ssd import (
     RESULT_COLUMNS,
     CostSpec,
@@ -268,12 +269,6 @@ def read_results_csv(path):
     return rows
 
 
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _sidecar(run, wall_time_ms, extra=None):
     meta = {
         "seed": run.seed,
@@ -425,7 +420,10 @@ def cmd_analyze(args):
     q = _parse("sigma", compute_q, t, args.n, args.sigma)
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     log_bf = float(log_bf01(q, design, prior_a))
-    bf = math.exp(log_bf)
+    try:
+        bf = math.exp(log_bf)
+    except OverflowError:  # above log BF01 = 709.78: decisive evidence for M0
+        bf = math.inf
     report = {
         "data": str(args.data),
         "n": design.n,
@@ -433,7 +431,7 @@ def cmd_analyze(args):
         "sigma": args.sigma,
         "q": q,
         "log_bf01": log_bf,
-        "bf01": bf,
+        "bf01": None if bf == math.inf else bf,  # JSON has no infinity
         "band": evidence_band(bf),
         "s": run.s,
         "seed": run.seed,

@@ -119,13 +119,6 @@ class ChiSquared:
         if int(self.df) != self.df or self.df < 1:
             raise ValueError(f"df must be a positive integer, got {self.df}")
 
-    def pdf(self, x):
-        from scipy import stats
-
-        x = np.asarray(x, dtype=float)
-        out = stats.chi2.pdf(x, self.df)
-        return out if out.ndim else float(out)
-
     def cdf(self, x):
         from scipy import stats
 

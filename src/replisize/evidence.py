@@ -141,7 +141,7 @@ def threshold_from_alpha(sample, alpha, side):
     return float(np.exp(values[rank - 1]))
 
 
-def probs_to_dict(probs, thresholds=None):
+def probs_to_dict(probs, thresholds):
     """JSON-ready dict with all nine probabilities, pi0, thresholds and
     binomial Monte Carlo standard errors."""
     t = probs.t_count
@@ -153,12 +153,11 @@ def probs_to_dict(probs, thresholds=None):
     out["pi0"] = probs.pi0
     out["t_count"] = t
     out["se"] = {name: se(getattr(probs, name)) for name in PROB_NAMES}
-    if thresholds is not None:
-        out["thresholds"] = {
-            "k0": thresholds.k0 if math.isfinite(thresholds.k0) else None,
-            "inv_k1": thresholds.inv_k1,
-            "derivation": thresholds.derivation,
-            "alpha": thresholds.alpha,
-            "degenerate": thresholds.degenerate,
-        }
+    out["thresholds"] = {
+        "k0": thresholds.k0 if math.isfinite(thresholds.k0) else None,
+        "inv_k1": thresholds.inv_k1,
+        "derivation": thresholds.derivation,
+        "alpha": thresholds.alpha,
+        "degenerate": thresholds.degenerate,
+    }
     return out

@@ -133,8 +133,13 @@ def save_logbf_csv(sample, path, *, priors=None, wall_time_ms=None):
         "wall_time_ms": wall_time_ms,
         "version": __version__,
     }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+    _write_json(meta, path + ".meta.json")
+
+
+def _write_json(payload, path):
+    """Write ``payload`` as indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 

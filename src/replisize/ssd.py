@@ -153,7 +153,7 @@ class _GapEvaluator:
                                                 master_seed)
         self.prior_d = DesignPriorSample.draw(priors.design, sim_sizes.t_count,
                                               master_seed)
-        self.q0, self.seeds = draw_q0(m, sim_sizes.t_count, master_seed)
+        self.q0, _ = draw_q0(m, sim_sizes.t_count, master_seed)
         self.cache = {}
 
     def __call__(self, n):
@@ -166,10 +166,8 @@ class _GapEvaluator:
         lb0 = log_bf01(self.q0, design, self.prior_a, workers=self.workers)
         lb1 = log_bf01(q1_from_q0(self.q0, n, self.prior_d.gammas), design,
                        self.prior_a, workers=self.workers)
-        sample0 = LogBfSample(values=lb0, model="M0", design=design,
-                              s=self.prior_a.s, seeds=self.seeds)
-        sample1 = LogBfSample(values=lb1, model="M1", design=design,
-                              s=self.prior_a.s, seeds=self.seeds)
+        sample0 = LogBfSample(values=lb0, model="M0", design=design, s=self.prior_a.s)
+        sample1 = LogBfSample(values=lb1, model="M1", design=design, s=self.prior_a.s)
 
         alpha = self.target.alpha
         inv_k1 = threshold_from_alpha(sample0, alpha, "lower")
@@ -185,12 +183,10 @@ class _GapEvaluator:
                        thresholds=th, probs=probs)
 
 
-def criterion_gap(n, m, target, priors, sim_sizes, master_seed, *, workers=1):
+def criterion_gap(n, m, target, priors, sim_sizes, master_seed):
     """Gap between achieved and targeted probability of correct evidence at
     one candidate n.  Nonnegative means the design criterion is met."""
-    evaluator = _GapEvaluator(m, target, priors, sim_sizes, master_seed,
-                              workers=workers)
-    return evaluator(n)
+    return _GapEvaluator(m, target, priors, sim_sizes, master_seed)(n)
 
 
 def find_n_star(m, target, priors, sim_sizes, master_seed=0, *, workers=1):

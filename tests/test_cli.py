@@ -27,7 +27,7 @@ from replisize.cli import (
 from replisize.distributions import ChiSquared, FoldedT, HalfT
 from replisize.model import DesignPoint
 from replisize.predictive import load_logbf_csv
-from replisize.ssd import RESULT_COLUMNS
+from replisize.ssd import RESULT_COLUMNS, CostSpec, SsdResult, cost_select
 
 SMALL_CONFIG = {
     "analysis_prior": {"family": "half_t", "nu": 4.0, "sigma": 1 / 7},
@@ -175,14 +175,23 @@ def test_infeasible_target_exits_1(tmp_path, config_path, capsys):
 
 def test_paper_defaults_with_overrides(tmp_path, capsys):
     out = tmp_path / "results.csv"
-    code = main(["ssd", "--paper-defaults", "--m", "8",
+    code = main(["ssd", "--paper-defaults", "--m", "6,8",
                  "--override", "s=600", "--override", "t_count=1500",
+                 "--override", "cost.c1=1", "--override", "cost.c2=100",
                  "--seed", "77", "--out", str(out)])
     assert code == 0
     rows = read_results_csv(out)
-    assert [r["m"] for r in rows] == [8]
+    assert [r["m"] for r in rows] == [6, 8]
     meta = json.loads((tmp_path / "results.csv.meta.json").read_text())
     assert meta["seed"] == 77
+    best, total = cost_select([_result(row) for row in rows], CostSpec(c1=1.0, c2=100.0))
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"cheapest design: n={best.n_star}, m={best.m} (total cost {total:g})")
+
+
+def _result(row):
+    return SsdResult(m=row["m"], n_star=row["n_star"], thresholds=None, probs=None,
+                     evaluations=row["evaluations"], seed=row["seed"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -402,8 +411,9 @@ def test_evidence_band_labels():
     assert "M1" in evidence_band(1 / 20)
     assert "M0" in evidence_band(20.0)
     assert evidence_band(1.0) == "no evidence either way"
-    # an underflowed BF01
+    # an underflowed and an overflowed BF01
     assert evidence_band(0.0) == "strong evidence for heterogeneity (M1)"
+    assert evidence_band(math.inf) == "strong evidence for no heterogeneity (M0)"
 
 
 def test_analyze_reports_underflowed_bf01_as_strong_evidence(tmp_path, capsys):
@@ -416,6 +426,18 @@ def test_analyze_reports_underflowed_bf01_as_strong_evidence(tmp_path, capsys):
     assert report["bf01"] == 0.0
     assert -math.inf < report["log_bf01"] < -745
     assert report["band"] == "strong evidence for heterogeneity (M1)"
+
+
+def test_analyze_reports_overflowed_bf01_as_null(tmp_path, capsys):
+    data = tmp_path / "equal.csv"
+    data.write_text("t\n" + "0.5\n" * 1001)
+    code = main(["analyze", "--paper-defaults", "--n", "1000000000", "--data", str(data),
+                 "--override", "s=100", "--override", "seed=3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["bf01"] is None
+    assert math.log(sys.float_info.max) < report["log_bf01"] < math.inf
+    assert report["band"] == "strong evidence for no heterogeneity (M0)"
 
 
 # Every subcommand at a tiny size, then the SciPy-backed calls, in one

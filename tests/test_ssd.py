@@ -102,27 +102,51 @@ def test_gap_samples_equal_predictive_simulation(monkeypatch):
     assert np.array_equal(passes[1], m1.values)
 
 
+def _check_q_space_oracle(m, mu, seed, target):
+    # log BF01 is non-increasing in q, so each alpha-calibrated cutoff is BF01
+    # at an order statistic of q: 1/k1 at q*, the ceil(alpha T)-th largest q0,
+    # and k0 at the ceil((1 - alpha) T)-th largest q1(n).  Every count is then
+    # #{q0 < lo} or #{q1 > hi}; no kernel call is needed to find n*
+    priors = Priors(ANALYSIS, FoldedT(nu=4, mu=mu, sigma=1 / 55))
+    sizes = SimSizes(s=600, t_count=1500)
+    t = sizes.t_count
+    evaluator = ssd._GapEvaluator(m, target, priors, sizes, seed)
+    q_star = np.sort(evaluator.q0)[-_nearest_rank(target.alpha, t)]
+
+    def probs(n):
+        q1 = q1_from_q0(evaluator.q0, n, evaluator.prior_d.gammas)
+        q_k0 = (-math.inf if target.mode == "conditional"  # k0 left at infinity
+                else np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)])
+        lo, hi = min(q_k0, q_star), max(q_k0, q_star)
+        p0_c = np.count_nonzero(evaluator.q0 < lo) / t
+        p1_c = np.count_nonzero(q1 > hi) / t
+        return p0_c, p1_c, target.pi0 * p0_c + (1.0 - target.pi0) * p1_c
+
+    def gap(n):
+        p0_c, p1_c, p_c = probs(n)
+        return (p1_c if target.mode == "conditional" else p_c) - target.power
+
+    n_star = find_n_star(m, target, priors, sizes, master_seed=seed).n_star
+    assert gap(n_star) >= 0
+    assert all(gap(n) < 0 for n in range(1, n_star))
+    for n in (n_star - 1, n_star, n_star + 1, 2 * n_star):
+        got = evaluator(n)
+        assert (got.probs.p0_c, got.probs.p1_c, got.probs.p_c) == probs(n)
+        assert got.gap == gap(n)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("mu", [0.1, 0.2])
 @pytest.mark.parametrize("m", [3, 6, 12])
 def test_conditional_search_matches_q_space_oracle(m, mu, seed):
-    # log BF01 is non-increasing in q, so the alpha-calibrated 1/k1 is BF01 at
-    # q*, the ceil(alpha T)-th largest q0, and p1_c counts the q1 above q*;
-    # no kernel call is needed to find n*
-    priors = Priors(ANALYSIS, FoldedT(nu=4, mu=mu, sigma=1 / 55))
-    sizes = SimSizes(s=600, t_count=1500)
-    evaluator = ssd._GapEvaluator(m, COND, priors, sizes, seed)
-    q_star = np.sort(evaluator.q0)[-_nearest_rank(COND.alpha, sizes.t_count)]
+    _check_q_space_oracle(m, mu, seed, COND)
 
-    def p1_c(n):
-        q1 = q1_from_q0(evaluator.q0, n, evaluator.prior_d.gammas)
-        return np.count_nonzero(q1 > q_star) / sizes.t_count
 
-    n_star = find_n_star(m, COND, priors, sizes, master_seed=seed).n_star
-    assert p1_c(n_star) - COND.power >= 0
-    assert all(p1_c(n) - COND.power < 0 for n in range(1, n_star))
-    for n in (n_star - 1, n_star, n_star + 1, 2 * n_star):
-        assert evaluator(n).probs.p1_c == p1_c(n)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mu", [0.1, 0.2])
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_unconditional_search_matches_q_space_oracle(m, mu, seed):
+    _check_q_space_oracle(m, mu, seed, UNCOND)
 
 
 def test_m_below_three_rejected():
@@ -145,11 +169,23 @@ def test_found_n_is_minimal_at_matched_seed(target):
 
 @pytest.mark.parametrize("target", [COND, UNCOND])
 def test_search_equals_exhaustive_scan(target):
-    result = find_n_star(8, target, PRIORS, SMALL, master_seed=SEED)
-    exhaustive = min(
-        n for n in range(1, 2 * result.n_star + 1)
-        if criterion_gap(n, 8, target, PRIORS, SMALL, SEED).gap >= 0)
-    assert result.n_star == exhaustive
+    # the two wide design priors meet the target below N_INIT, so the search
+    # halves down from it, once all the way to n = 1
+    for m, design in [(8, DESIGN_PRIOR), (17, FoldedT(nu=4, mu=1.0, sigma=1 / 55)),
+                      (8, FoldedT(nu=4, mu=3.0, sigma=1 / 55))]:
+        priors = Priors(ANALYSIS, design)
+        result = find_n_star(m, target, priors, SMALL, master_seed=SEED)
+        exhaustive = min(
+            n for n in range(1, 2 * result.n_star + 1)
+            if criterion_gap(n, m, target, priors, SMALL, SEED).gap >= 0)
+        assert result.n_star == exhaustive
+
+
+@pytest.mark.parametrize("target", [COND, UNCOND])
+def test_search_is_identical_with_two_workers(target):
+    # at SMALL one kernel pass is 13 chunks, so two workers split every pass
+    one = find_n_star(8, target, PRIORS, SMALL, master_seed=SEED, workers=1)
+    assert find_n_star(8, target, PRIORS, SMALL, master_seed=SEED, workers=2) == one
 
 
 def test_unconditional_needs_more_subjects_than_conditional():
