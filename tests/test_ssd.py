@@ -123,7 +123,7 @@ def _check_q_space_oracle(m, mu, seed, target):
         return p0_c, p1_c, target.pi0 * p0_c + (1.0 - target.pi0) * p1_c
 
     def gap(n):
-        p0_c, p1_c, p_c = probs(n)
+        _, p1_c, p_c = probs(n)
         return (p1_c if target.mode == "conditional" else p_c) - target.power
 
     n_star = find_n_star(m, target, priors, sizes, master_seed=seed).n_star
@@ -169,7 +169,7 @@ def test_found_n_is_minimal_at_matched_seed(target):
 
 @pytest.mark.parametrize("target", [COND, UNCOND])
 def test_search_equals_exhaustive_scan(target):
-    # the two wide design priors meet the target below N_INIT, so the search
+    # the two design priors far from 0 meet the target below N_INIT, so the search
     # halves down from it, once all the way to n = 1
     for m, design in [(8, DESIGN_PRIOR), (17, FoldedT(nu=4, mu=1.0, sigma=1 / 55)),
                       (8, FoldedT(nu=4, mu=3.0, sigma=1 / 55))]:
