@@ -21,7 +21,6 @@ from .distributions import ChiSquared, FoldedT, HalfT, prior_from_dict, prior_to
 from .evidence import EvidenceProbs, Thresholds, classify, probs_to_dict, threshold_from_alpha
 from .model import (
     DesignPoint,
-    HierarchicalModelSpec,
     compute_q,
     load_effect_sizes,
     simulate_effect_sizes,
@@ -59,7 +58,6 @@ __all__ = [
     "FoldedT",
     "GapEval",
     "HalfT",
-    "HierarchicalModelSpec",
     "InfeasibleTargetError",
     "LogBfSample",
     "Priors",

@@ -24,15 +24,14 @@ PROB_NAMES = ("p0_c", "p0_m", "p0_u", "p1_c", "p1_m", "p1_u", "p_c", "p_m", "p_u
 class Thresholds:
     """Evidence cutoffs: k0 favours M0, inv_k1 (= 1/k1) favours M1.
 
-    ``derivation`` records whether the pair was fixed directly or derived
-    from an error rate alpha via predictive quantiles.  A configuration
-    with inv_k1 >= k0 leaves no undetermined region; it is reportable but
-    rejected by ``classify`` unless explicitly forced.
+    ``alpha`` is the error rate the pair was derived from via predictive
+    quantiles, or None for a pair fixed directly.  A fixed pair must leave
+    an undetermined region (inv_k1 < k0); a derived pair may overlap, and
+    ``classify`` then leaves the overlap undetermined.
     """
 
     k0: float
     inv_k1: float
-    derivation: str = "fixed"  # "fixed" or "from_alpha"
     alpha: float | None = None
 
     def __post_init__(self):
@@ -40,8 +39,10 @@ class Thresholds:
             raise ValueError(f"k0 must be positive, got {self.k0}")
         if not self.inv_k1 > 0 or not math.isfinite(self.inv_k1):
             raise ValueError(f"inv_k1 must be positive and finite, got {self.inv_k1}")
-        if self.derivation not in ("fixed", "from_alpha"):
-            raise ValueError(f"unknown derivation {self.derivation!r}")
+        if self.alpha is None and self.degenerate:
+            raise ValueError(
+                f"degenerate fixed thresholds (inv_k1={self.inv_k1} >= k0={self.k0}) "
+                "leave no undetermined region")
 
     @property
     def degenerate(self):
@@ -66,18 +67,17 @@ class EvidenceProbs:
     t_count: int
 
 
-def classify(sample_m0, sample_m1, th, pi0, *, force=False):
+def classify(sample_m0, sample_m1, th, pi0):
     """Empirical evidence probabilities of two predictive samples.
 
     Cutoffs are compared strictly, so a draw exactly equal to either
     threshold counts as undetermined.  ``pi0`` weights the overall triple;
     the conditional triples do not depend on it.
 
-    Degenerate thresholds (inv_k1 >= k0) are rejected unless ``force`` is
-    given.  When forced, only unambiguous draws count as evidence: above
-    max(k0, inv_k1) favours M0, below min(k0, inv_k1) favours M1, and the
-    overlap stays undetermined.  For non-degenerate thresholds this is
-    identical to the plain definition.
+    Only unambiguous draws count as evidence: above max(k0, inv_k1)
+    favours M0, below min(k0, inv_k1) favours M1.  For non-degenerate
+    thresholds this is the plain definition; for a derived pair that
+    overlaps, the overlap stays undetermined.
     """
     if sample_m0.design != sample_m1.design:
         raise ValueError(
@@ -86,10 +86,6 @@ def classify(sample_m0, sample_m1, th, pi0, *, force=False):
         raise ValueError("classify expects an M0 sample and an M1 sample, in that order")
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
-    if th.degenerate and not force:
-        raise ValueError(
-            f"degenerate thresholds (inv_k1={th.inv_k1} >= k0={th.k0}) leave no "
-            "undetermined region; pass force=True to classify anyway")
 
     log_hi = np.log(max(th.k0, th.inv_k1))
     log_lo = np.log(min(th.k0, th.inv_k1))
@@ -123,20 +119,19 @@ def _nearest_rank(p, t):
     return min(max(rank, 1), t)
 
 
-def threshold_from_alpha(sample, alpha, side):
-    """Evidence cutoff pinning a tail of the predictive BF01 distribution.
+def threshold_from_alpha(sample, alpha):
+    """Evidence cutoff pinning the misleading tail of a predictive BF01
+    sample at alpha.
 
-    side="lower": returns 1/k1 as the alpha-quantile of BF01 in the sample
-    (by construction P(BF01 < 1/k1) = alpha up to one empirical-quantile
-    step).  side="upper": returns k0 as the (1-alpha)-quantile.  Empirical
-    quantile is nearest-rank, i.e. the ceil(p*T)-th order statistic.
+    An M0 sample gives 1/k1 as the alpha-quantile of BF01 (by construction
+    P(BF01 < 1/k1) = alpha up to one empirical-quantile step); an M1 sample
+    gives k0 as the (1-alpha)-quantile.  Empirical quantile is
+    nearest-rank, i.e. the ceil(p*T)-th order statistic.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     values = np.sort(sample.values)
-    p = alpha if side == "lower" else 1.0 - alpha
+    p = alpha if sample.model == "M0" else 1.0 - alpha
     rank = _nearest_rank(p, values.size)
     return float(np.exp(values[rank - 1]))
 
@@ -156,7 +151,7 @@ def probs_to_dict(probs, thresholds):
     out["thresholds"] = {
         "k0": thresholds.k0 if math.isfinite(thresholds.k0) else None,
         "inv_k1": thresholds.inv_k1,
-        "derivation": thresholds.derivation,
+        "derivation": "fixed" if thresholds.alpha is None else "from_alpha",
         "alpha": thresholds.alpha,
         "degenerate": thresholds.degenerate,
     }

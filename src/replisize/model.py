@@ -15,7 +15,6 @@ from .seeding import as_generator
 
 __all__ = [
     "DesignPoint",
-    "HierarchicalModelSpec",
     "compute_q",
     "simulate_effect_sizes",
     "load_effect_sizes",
@@ -36,20 +35,9 @@ class DesignPoint:
             raise ValueError(f"m must be an integer >= 2, got {self.m}")
 
 
-@dataclass(frozen=True)
-class HierarchicalModelSpec:
-    """Known unit standard deviation sigma of the effect-size model.
-
-    The overall mean is never instantiated at design stage (it is a common
-    nuisance parameter, integrated out under a flat prior) and the
-    between-site sd tau enters only through gamma = tau/sigma.
-    """
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+def _check_sigma(sigma):
+    if not 0 < sigma < np.inf:  # written so that NaN fails too
+        raise ValueError(f"sigma must be positive, got {sigma}")
 
 
 def _validated_effects(t):
@@ -72,8 +60,7 @@ def compute_q(t, n, sigma):
     t = _validated_effects(t)
     if not n >= 1:  # written so that NaN fails too
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     centered = t - t.mean()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = float(n * np.dot(centered, centered) / (sigma * sigma))
@@ -82,16 +69,18 @@ def compute_q(t, n, sigma):
     return q
 
 
-def simulate_effect_sizes(spec, design, gamma, mu, rng):
+def simulate_effect_sizes(design, gamma, mu, rng, *, sigma=1.0):
     """Draw one vector of m site estimates.
 
     Marginally over the site effects, t_j ~ N(mu, sigma^2 * (1/n + gamma^2))
     independently; gamma = 0 generates under the no-heterogeneity model.
+    sigma is the known unit standard deviation.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _check_sigma(sigma)
     rng = as_generator(rng)
-    sd = spec.sigma * np.sqrt(1.0 / design.n + gamma * gamma)
+    sd = sigma * np.sqrt(1.0 / design.n + gamma * gamma)
     return rng.normal(loc=mu, scale=sd, size=design.m)
 
 

@@ -8,10 +8,27 @@ same structure to the overall (model-averaged) probabilities, deriving k0
 from the predictive distribution under heterogeneity as well.
 
 All Monte Carlo inputs for one search are drawn once from the master seed
-(common random numbers), which makes the criterion gap a deterministic and
-empirically monotone function of n; the search is a Regula Falsi bracket
-refinement rounded to integers, with a bisection fallback against
-stalling.
+(common random numbers), which makes the criterion gap a deterministic
+function of n; the search is a Regula Falsi bracket refinement rounded to
+integers, with a bisection fallback against stalling.
+
+The search rests on one assumption: computed log BF01 is strictly
+decreasing over the realised Q draws, and the exp/log round trip of a
+calibrated cutoff moves no count.  Each cutoff is then log BF01 at an order
+statistic of Q, and every count ``classify`` makes is a count of Q draws
+beyond an order statistic.  Two properties follow.
+
+* The gap is non-decreasing in n.  Under M1, q1(n) = q0 (1 + n gamma^2)
+  grows elementwise with n while the M0 order statistic q* behind 1/k1
+  stays fixed, so #{q1(n) > q*} never falls; the order statistic of q1(n)
+  behind k0 grows too, so #{q0 < q_k0(n)} never falls while q_k0(n) lies
+  below q*.  The round trip can fail once a derived pair overlaps
+  (k0 < 1/k1), as it does on the gap's plateau at large n, and the gap can
+  then step down there by one M0 draw.
+* n* does not depend on the analysis prior.  The prior sets the value of
+  each cutoff, not which Q draws fall beyond it, so n*, the number of
+  evaluations and p0_c, p1_c and p_c are the same under any analysis prior;
+  only the reported 1/k1 and k0 change.
 """
 
 import logging
@@ -51,12 +68,13 @@ N_MAX = 10**6
 class InfeasibleTargetError(RuntimeError):
     """The bracket search hit its cap without reaching the target."""
 
-    def __init__(self, m, n_max, last_gap):
+    n_max = N_MAX
+
+    def __init__(self, m, last_gap):
         self.m = m
-        self.n_max = n_max
         self.last_gap = last_gap
         super().__init__(
-            f"target not reachable for m={m} within n <= {n_max} "
+            f"target not reachable for m={m} within n <= {N_MAX} "
             f"(gap at cap: {last_gap:+.4f})")
 
 
@@ -170,14 +188,11 @@ class _GapEvaluator:
         sample1 = LogBfSample(values=lb1, model="M1", design=design, s=self.prior_a.s)
 
         alpha = self.target.alpha
-        inv_k1 = threshold_from_alpha(sample0, alpha, "lower")
+        inv_k1 = threshold_from_alpha(sample0, alpha)
         k0 = (math.inf if self.target.mode == "conditional"
-              else threshold_from_alpha(sample1, alpha, "upper"))
-        th = Thresholds(k0=k0, inv_k1=inv_k1, derivation="from_alpha", alpha=alpha)
-        # force=True: during a search the cutoffs act as mere test
-        # statistics, and transient degenerate pairs at small n are
-        # expected; the flag stays visible on the returned thresholds
-        probs = classify(sample0, sample1, th, self.target.pi0, force=True)
+              else threshold_from_alpha(sample1, alpha))
+        th = Thresholds(k0=k0, inv_k1=inv_k1, alpha=alpha)
+        probs = classify(sample0, sample1, th, self.target.pi0)
         achieved = probs.p1_c if self.target.mode == "conditional" else probs.p_c
         return GapEval(n=n, gap=achieved - self.target.power,
                        thresholds=th, probs=probs)
@@ -219,7 +234,7 @@ def find_n_star(m, target, priors, sim_sizes, master_seed=0, *, workers=1):
             if hi_eval.gap >= 0:
                 break
             if n_next >= N_MAX:
-                raise InfeasibleTargetError(m, N_MAX, hi_eval.gap)
+                raise InfeasibleTargetError(m, hi_eval.gap)
             lo_eval = hi_eval
 
     last_side, repeats = 0, 0

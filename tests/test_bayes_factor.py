@@ -260,9 +260,15 @@ def test_bf_from_data_against_direct_double_integral():
 
     m0_full, _ = integrate.quad(
         lambda mu: likelihood(mu, sigma**2 / n), -30, 30, limit=200)
-    m1_full, _ = integrate.dblquad(
-        lambda mu, g: likelihood(mu, sigma**2 * (1 / n + g * g)) * ANALYSIS.pdf(g),
-        0, 8, -30, 30, epsabs=1e-12)
+    # the prior density is constant over mu, so it multiplies the inner
+    # integral instead of being evaluated at every inner point
+    def m1_given_g(g):
+        inner, _ = integrate.quad(
+            lambda mu: likelihood(mu, sigma**2 * (1 / n + g * g)), -30, 30,
+            epsabs=1e-12)
+        return ANALYSIS.pdf(g) * inner
+
+    m1_full, _ = integrate.quad(m1_given_g, 0, 8, epsabs=1e-12)
     oracle = math.log(m0_full) - math.log(m1_full)
 
     mc = bf01_from_data(t, n, sigma, sample)

@@ -72,14 +72,18 @@ def test_design_mismatch_and_order_rejected(pair_80x8):
         classify(m1, m0, Thresholds(3.0, 1 / 3), pi0=0.5)
 
 
-def test_degenerate_thresholds_need_force(pair_80x8):
-    m0, m1 = pair_80x8
-    th = Thresholds(k0=0.5, inv_k1=0.8)
-    assert th.degenerate
+def test_fixed_degenerate_thresholds_rejected_at_construction():
     with pytest.raises(ValueError, match="degenerate"):
-        classify(m0, m1, th, pi0=0.5)
-    # forced: the overlap counts as undetermined, so the simplex holds
-    probs = classify(m0, m1, th, pi0=0.5, force=True)
+        Thresholds(k0=0.5, inv_k1=0.8)
+    with pytest.raises(ValueError, match="degenerate"):
+        Thresholds(k0=0.5, inv_k1=0.5)
+
+
+def test_derived_overlapping_thresholds_leave_the_overlap_undetermined(pair_80x8):
+    m0, m1 = pair_80x8
+    th = Thresholds(k0=0.5, inv_k1=0.8, alpha=0.05)
+    assert th.degenerate
+    probs = classify(m0, m1, th, pi0=0.5)
     for triple in [(probs.p0_c, probs.p0_m, probs.p0_u),
                    (probs.p1_c, probs.p1_m, probs.p1_u)]:
         assert abs(sum(triple) - 1.0) < 1e-12
@@ -101,32 +105,31 @@ def test_thresholds_validation():
 
 def test_nearest_rank_on_small_sample():
     values = np.log([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
-    sample = _sample(values)
-    # ceil(0.25 * 10) = 3rd order statistic
-    assert threshold_from_alpha(sample, 0.25, "lower") == pytest.approx(3.0)
-    # ceil(0.75 * 10) = 8th order statistic
-    assert threshold_from_alpha(sample, 0.25, "upper") == pytest.approx(8.0)
+    # M0: ceil(0.25 * 10) = 3rd order statistic
+    assert threshold_from_alpha(_sample(values, "M0"), 0.25) == pytest.approx(3.0)
+    # M1: ceil(0.75 * 10) = 8th order statistic
+    assert threshold_from_alpha(_sample(values, "M1"), 0.25) == pytest.approx(8.0)
 
 
 def test_constant_sample_returns_the_constant():
-    sample = _sample(np.full(50, math.log(2.5)))
-    assert threshold_from_alpha(sample, 0.1, "lower") == pytest.approx(2.5)
-    assert threshold_from_alpha(sample, 0.1, "upper") == pytest.approx(2.5)
+    values = np.full(50, math.log(2.5))
+    assert threshold_from_alpha(_sample(values, "M0"), 0.1) == pytest.approx(2.5)
+    assert threshold_from_alpha(_sample(values, "M1"), 0.1) == pytest.approx(2.5)
 
 
 def test_threshold_round_trips_to_alpha(pair_80x8):
     m0, m1 = pair_80x8
     t_count = m0.t_count
     for alpha in (0.01, 0.05, 0.1):
-        inv_k1 = threshold_from_alpha(m0, alpha, "lower")
+        inv_k1 = threshold_from_alpha(m0, alpha)
         probs = classify(m0, m1, Thresholds(k0=math.inf, inv_k1=inv_k1), pi0=0.5)
         assert abs(probs.p0_m - alpha) <= 1.0 / t_count + 1e-12
 
 
 def test_threshold_monotone_in_alpha(pair_80x8):
     m0, m1 = pair_80x8
-    lowers = [threshold_from_alpha(m0, a, "lower") for a in (0.01, 0.05, 0.2, 0.4)]
-    uppers = [threshold_from_alpha(m1, a, "upper") for a in (0.01, 0.05, 0.2, 0.4)]
+    lowers = [threshold_from_alpha(m0, a) for a in (0.01, 0.05, 0.2, 0.4)]
+    uppers = [threshold_from_alpha(m1, a) for a in (0.01, 0.05, 0.2, 0.4)]
     assert np.all(np.diff(lowers) >= 0)
     assert np.all(np.diff(uppers) <= 0)
 
@@ -135,16 +138,14 @@ def test_alpha_domain_checked(pair_80x8):
     m0, _ = pair_80x8
     for alpha in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError):
-            threshold_from_alpha(m0, alpha, "lower")
-    with pytest.raises(ValueError):
-        threshold_from_alpha(m0, 0.1, "above")
+            threshold_from_alpha(m0, alpha)
 
 
 def test_detection_threshold_at_benchmark_design():
     # full-scale lower cutoff for alpha = 0.01 at n=100, m=8
     prior_a = AnalysisPriorSample.draw(ANALYSIS, 10_000, seed=20260809)
     sample = simulate_bf_m0(DesignPoint(100, 8), prior_a, 50_000, 20260809)
-    inv_k1 = threshold_from_alpha(sample, 0.01, "lower")
+    inv_k1 = threshold_from_alpha(sample, 0.01)
     assert inv_k1 == pytest.approx(0.215, abs=0.015)
 
 
@@ -154,17 +155,19 @@ def test_null_support_threshold_at_benchmark_design():
     prior_a = AnalysisPriorSample.draw(ANALYSIS, 10_000, seed=20260809)
     prior_d = DesignPriorSample.draw(DESIGN_PRIOR, 50_000, seed=20260809)
     sample = simulate_bf_m1(design, prior_a, prior_d, 20260809)
-    k0 = threshold_from_alpha(sample, 0.01, "upper")
+    k0 = threshold_from_alpha(sample, 0.01)
     assert k0 == pytest.approx(2.015, abs=0.1)
 
 
 def test_probs_dict_is_json_ready(pair_80x8):
     m0, m1 = pair_80x8
-    th = Thresholds(k0=3.0, inv_k1=1 / 3, derivation="from_alpha", alpha=0.05)
+    th = Thresholds(k0=3.0, inv_k1=1 / 3, alpha=0.05)
     probs = classify(m0, m1, th, pi0=0.5)
     payload = probs_to_dict(probs, th)
     text = json.dumps(payload)
     assert "thresholds" in payload and payload["thresholds"]["alpha"] == 0.05
+    assert payload["thresholds"]["derivation"] == "from_alpha"
+    assert probs_to_dict(probs, Thresholds(3.0, 1 / 3))["thresholds"]["derivation"] == "fixed"
     assert payload["se"]["p1_c"] == pytest.approx(
         math.sqrt(probs.p1_c * (1 - probs.p1_c) / probs.t_count))
     assert json.loads(text)["pi0"] == 0.5

@@ -4,13 +4,10 @@ from scipy import stats
 
 from replisize.model import (
     DesignPoint,
-    HierarchicalModelSpec,
     compute_q,
     load_effect_sizes,
     simulate_effect_sizes,
 )
-
-SPEC = HierarchicalModelSpec(sigma=1.0)
 
 
 def test_constant_effects_give_zero_q():
@@ -54,10 +51,10 @@ def test_design_point_validation():
     with pytest.raises(ValueError):
         DesignPoint(n=10, m=1)
     for sigma in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            HierarchicalModelSpec(sigma=sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            simulate_effect_sizes(DesignPoint(10, 4), 0.1, 0.0, 1, sigma=sigma)
     with pytest.raises(ValueError):
-        simulate_effect_sizes(SPEC, DesignPoint(10, 4), gamma=-0.1, mu=0.0, rng=1)
+        simulate_effect_sizes(DesignPoint(10, 4), gamma=-0.1, mu=0.0, rng=1)
 
 
 def test_site_estimate_variance_shrinks_with_n():
@@ -65,7 +62,7 @@ def test_site_estimate_variance_shrinks_with_n():
     variances = []
     for n in (10, 100, 1000):
         draws = np.array([
-            simulate_effect_sizes(SPEC, DesignPoint(n, 2), 0.0, 0.3, rng)[0]
+            simulate_effect_sizes(DesignPoint(n, 2), 0.0, 0.3, rng)[0]
             for _ in range(20_000)
         ])
         variances.append(draws.var())
@@ -103,7 +100,7 @@ def test_simulated_effects_feed_compute_q():
         block = rng.normal(0.0, np.sqrt(1 / 80), size=(1000, 8))
         centered = block - block.mean(axis=1, keepdims=True)
         qs[i * 1000:(i + 1) * 1000] = 80 * (centered**2).sum(axis=1)
-    single = compute_q(simulate_effect_sizes(SPEC, design, 0.0, 0.0, rng), 80, 1.0)
+    single = compute_q(simulate_effect_sizes(design, 0.0, 0.0, rng), 80, 1.0)
     assert single >= 0
     assert qs.mean() == pytest.approx(7.0, abs=0.06)
 

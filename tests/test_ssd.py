@@ -175,10 +175,31 @@ def test_search_equals_exhaustive_scan(target):
                       (8, FoldedT(nu=4, mu=3.0, sigma=1 / 55))]:
         priors = Priors(ANALYSIS, design)
         result = find_n_star(m, target, priors, SMALL, master_seed=SEED)
-        exhaustive = min(
-            n for n in range(1, 2 * result.n_star + 1)
-            if criterion_gap(n, m, target, priors, SMALL, SEED).gap >= 0)
+        gaps = [criterion_gap(n, m, target, priors, SMALL, SEED).gap
+                for n in range(1, 2 * result.n_star + 1)]
+        # the gap is non-decreasing in n (ssd module docstring), which is why the
+        # bracket search finds the first n meeting the target
+        assert all(g1 <= g2 for g1, g2 in zip(gaps, gaps[1:]))
+        exhaustive = 1 + next(i for i, g in enumerate(gaps) if g >= 0)
         assert result.n_star == exhaustive
+
+
+@pytest.mark.parametrize("target", [COND, UNCOND])
+@pytest.mark.parametrize("m", [3, 8])
+def test_n_star_does_not_depend_on_the_analysis_prior(m, target):
+    # the analysis prior sets the value of each cutoff, not which q draws
+    # fall beyond it (ssd module docstring), so the search takes the same path
+    sizes = SimSizes(s=600, t_count=1500)
+    results = [find_n_star(m, target, Priors(analysis, DESIGN_PRIOR), sizes,
+                           master_seed=0)
+               for analysis in (ANALYSIS, HalfT(nu=1, sigma=1), HalfT(nu=30, sigma=0.01),
+                                FoldedT(nu=4, mu=0.5, sigma=0.1))]
+    first = results[0]
+    for r in results[1:]:
+        assert (r.n_star, r.evaluations) == (first.n_star, first.evaluations)
+        assert ((r.probs.p0_c, r.probs.p1_c, r.probs.p_c)
+                == (first.probs.p0_c, first.probs.p1_c, first.probs.p_c))
+    assert len({r.thresholds.inv_k1 for r in results}) == len(results)
 
 
 @pytest.mark.parametrize("target", [COND, UNCOND])
