@@ -67,7 +67,6 @@ class AnalysisPriorSample:
     """
 
     gammas: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         gammas = np.asarray(self.gammas, dtype=float)
@@ -81,7 +80,7 @@ class AnalysisPriorSample:
     def draw(cls, prior, s, seed):
         """Sample S values from ``prior`` on the analysis stream of ``seed``."""
         rng = substream(seed, STREAM_ANALYSIS)
-        return cls(gammas=prior.sample(s, rng), seed=int(seed))
+        return cls(gammas=prior.sample(s, rng))
 
     @property
     def s(self):
@@ -185,10 +184,8 @@ def log_bf01(q, design, prior, *, workers=1):
 
 def bf01_from_data(t, n, sigma, prior):
     """log BF01 computed from a raw vector of site effect sizes."""
-    t = np.asarray(t, dtype=float)
     q = compute_q(t, n, sigma)
-    design = DesignPoint(n=n, m=t.size)
-    return float(log_bf01(q, design, prior))
+    return log_bf01(q, DesignPoint(n=n, m=len(t)), prior)
 
 
 def log_m1_quadrature(q, design, prior_dist):

@@ -69,7 +69,6 @@ _PRIOR_KEYS = {"family", "nu", "mu", "sigma"}
 _CONFIG_KEYS = {
     "analysis_prior": _PRIOR_KEYS, "design_prior": _PRIOR_KEYS,
     "target": {"mode", "alpha", "power", "pi0"}, "cost": {"c1", "c2"},
-    "output": {"format", "path"},
     "s": set(), "t_count": set(), "seed": set(), "m_values": set(), "workers": set(),
 }
 
@@ -84,18 +83,19 @@ class RunConfig:
     m_values: list = None
     target: SsdTarget = None
     cost: CostSpec = None
-    output: dict = None
     workers: int = 1
 
 
 def _load_config_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: line {err.lineno}, column {err.colno}: {err.msg}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {err}")
 
 
 def apply_override(cfg, spec):
@@ -201,18 +201,11 @@ def _validate_config(cfg, need):
         s=_int_at_least("s", _require(cfg, "s"), 100),
         seed=_int_at_least("seed", _require(cfg, "seed"), 0),
         workers=_int_at_least("workers", cfg.get("workers", 1), 1),
-        output={} if cfg.get("output") is None else cfg["output"],
     )
     # each worker thread holds its own chunk buffer
     if run.workers > (os.cpu_count() or 1):
         raise ConfigError(f"workers must be <= the CPU count {os.cpu_count() or 1}, "
                           f"got {run.workers}")
-    if not isinstance(run.output, dict):
-        raise ConfigError("output must be an object")
-    if run.output.get("format") not in (None, "csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {run.output['format']!r}")
-    if not isinstance(run.output.get("path"), (str, type(None))):
-        raise ConfigError(f"output.path must be a string, got {run.output['path']!r}")
     if cfg.get("design_prior") is not None:
         run.design_prior = _parse("design_prior", prior_from_dict, cfg["design_prior"])
     if cfg.get("t_count") is not None:
@@ -286,10 +279,9 @@ def _sidecar(run, wall_time_ms, extra=None):
     return meta
 
 
-def _resolve_out(args, run, default_name):
-    fmt = args.format or run.output.get("format") or "csv"
-    path = args.out or run.output.get("path") or default_name.format(fmt=fmt)
-    return Path(path), fmt
+def _resolve_out(args, default_name):
+    fmt = args.format or "csv"
+    return Path(args.out or default_name.format(fmt=fmt)), fmt
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +324,7 @@ def _sweep_table(run, groups, path, fmt, extra):
 
 def cmd_ssd(args):
     run = resolve_config(args, need=("design_prior", "t_count", "m_values", "target"))
-    path, fmt = _resolve_out(args, run, "ssd_results.{fmt}")
+    path, fmt = _resolve_out(args, "ssd_results.{fmt}")
     results, code = _sweep_table(run, [({}, run.design_prior)], path, fmt,
                                  {"target": asdict(run.target)})
     for row in map(result_to_row, results):
@@ -392,7 +384,7 @@ def cmd_sensitivity(args):
     # every location is checked before the first sweep
     groups = [({"mu_gamma": mu}, _parse("mu_gamma", FoldedT, base.nu, mu, base.sigma))
               for mu in mus]
-    path, fmt = _resolve_out(args, run, "sensitivity_results.{fmt}")
+    path, fmt = _resolve_out(args, "sensitivity_results.{fmt}")
     _, code = _sweep_table(run, groups, path, fmt, {"mu_gamma_values": mus})
     return code
 
@@ -419,7 +411,7 @@ def cmd_analyze(args):
     design = _parse("design", DesignPoint, args.n, t.size)
     q = _parse("sigma", compute_q, t, args.n, args.sigma)
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
-    log_bf = float(log_bf01(q, design, prior_a))
+    log_bf = log_bf01(q, design, prior_a)
     try:
         bf = math.exp(log_bf)
     except OverflowError:  # above log BF01 = 709.78: decisive evidence for M0

@@ -36,7 +36,7 @@ class DesignPriorSample(AnalysisPriorSample):
     @classmethod
     def draw(cls, prior, t_count, seed):
         rng = substream(seed, STREAM_DESIGN)
-        return cls(gammas=prior.sample(t_count, rng), seed=int(seed))
+        return cls(gammas=prior.sample(t_count, rng))
 
     @property
     def t_count(self):

@@ -149,6 +149,14 @@ def test_malformed_json_exits_2_with_location(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["ssd", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err and "Traceback" not in err
+
+
 def test_no_config_source_exits_2(capsys):
     assert main(["ssd"]) == 2
     assert "config" in capsys.readouterr().err
@@ -228,7 +236,8 @@ def _result(row):
     # an infinite sigma, and one whose square underflows so that Q is infinite
     ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "inf"],
     ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "1e-200"],
-    # output.* is checked for every subcommand, not only where a table is written
+    # there is no output object: --out and --format choose where and how to write
+    ["ssd", "--override", "output.format=json"],
     ["predictive", "--n", "80", "--m", "8", "--override", "output.format=xml"],
     ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "output.format=xml"],
     ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "output.path=5"],
@@ -241,8 +250,8 @@ def _result(row):
         "analyze-design-family", "analyze-m-values", "predictive-alpha",
         "s-fraction", "m-values-fraction", "workers-bool", "prior-nu-bool",
         "target-pi0-bool", "cost-c1-bool", "analyze-sigma-inf", "analyze-sigma-tiny",
-        "predictive-output-format", "analyze-output-format", "analyze-output-path",
-        "workers-above-cpu-count"])
+        "output-object", "predictive-output-format", "analyze-output-format",
+        "analyze-output-path", "workers-above-cpu-count"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
                                              monkeypatch, capsys):
     bad_csv = tmp_path / "sites.csv"

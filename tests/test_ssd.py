@@ -3,13 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replisize import ssd
 from replisize.bayes_factor import log_bf01
 from replisize.distributions import FoldedT, HalfT
 from replisize.evidence import _nearest_rank
 from replisize.model import DesignPoint
-from replisize.predictive import q1_from_q0, simulate_bf_m0, simulate_bf_m1
+from replisize.predictive import (
+    DesignPriorSample,
+    draw_q0,
+    q1_from_q0,
+    simulate_bf_m0,
+    simulate_bf_m1,
+)
 from replisize.seeding import STREAM_SWEEP, derive_seed
 from replisize.ssd import (
     RESULT_COLUMNS,
@@ -147,6 +155,78 @@ def test_conditional_search_matches_q_space_oracle(m, mu, seed):
 @pytest.mark.parametrize("m", [3, 6, 12])
 def test_unconditional_search_matches_q_space_oracle(m, mu, seed):
     _check_q_space_oracle(m, mu, seed, UNCOND)
+
+
+def _detection_sizes(q0, gammas, q_star):
+    # per draw, the smallest n with q1(n) > q*: start from the closed form
+    # n > (q*/q0 - 1) / gamma^2 and step until the float comparison flips;
+    # inf for a draw that no n up to N_MAX + 1 detects
+    def detected(n):
+        return q1_from_q0(q0, n, gammas) > q_star
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.ceil((q_star / q0 - 1.0) / gammas**2)
+    n = np.clip(np.nan_to_num(start, nan=N_MAX + 1), 1, N_MAX + 1)
+    while (down := (n > 1) & detected(n - 1)).any():
+        n[down] -= 1
+    while (up := (n <= N_MAX) & ~detected(n)).any():
+        n[up] += 1
+    return np.where(detected(n), n, np.inf)
+
+
+CLOSED_FORM_CASES = (
+    [(m, mu, seed, 0.01, 0.8) for m in (3, 8, 12) for mu in (0.1, 0.2) for seed in range(4)]
+    + [(m, mu, seed, 0.05, 0.9) for m in (3, 6, 17) for mu in (0.1, 0.2) for seed in range(2)]
+    # design priors far from 0: n* from 1 to 20, mostly through the halving branch
+    + [(m, mu, 0, 0.01, 0.8) for m in (17, 8, 3) for mu in (1.0, 3.0)]
+)
+
+
+@pytest.mark.parametrize("m, mu, seed, alpha, power", CLOSED_FORM_CASES)
+def test_conditional_n_star_has_a_closed_form(m, mu, seed, alpha, power):
+    # p1_c(n) = #{n_t <= n} / T for the per-draw detection sizes n_t, so n* is
+    # the k-th smallest n_t, k the least count whose gap k/T - power is >= 0
+    target = SsdTarget("conditional", alpha=alpha, power=power)
+    priors = Priors(ANALYSIS, FoldedT(nu=4, mu=mu, sigma=1 / 55))
+    sizes = SimSizes(s=600, t_count=1500)
+    t = sizes.t_count
+    q0, _ = draw_q0(m, t, seed)
+    gammas = DesignPriorSample.draw(priors.design, t, seed).gammas
+    q_star = np.sort(q0)[-_nearest_rank(alpha, t)]
+    k = next(k for k in range(t + 1) if k / t - power >= 0)
+    closed_form = np.sort(_detection_sizes(q0, gammas, q_star))[k - 1]
+    assert find_n_star(m, target, priors, sizes, master_seed=seed).n_star == closed_form
+
+
+def _q_space_gap(q0, gammas, n, target):
+    # the gap from counts over sorted q, by the rule of _check_q_space_oracle
+    t = q0.size
+    q_star = np.sort(q0)[-_nearest_rank(target.alpha, t)]
+    q1 = q1_from_q0(q0, n, gammas)
+    q_k0 = (-math.inf if target.mode == "conditional"
+            else np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)])
+    lo, hi = min(q_k0, q_star), max(q_k0, q_star)
+    p0_c = np.count_nonzero(q0 < lo) / t
+    p1_c = np.count_nonzero(q1 > hi) / t
+    p_c = target.pi0 * p0_c + (1.0 - target.pi0) * p1_c
+    return (p1_c if target.mode == "conditional" else p_c) - target.power
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(3, 17), t_count=st.integers(100, 3000), seed=st.integers(0, 2**32),
+       nu=st.floats(1.0, 30.0), mu=st.floats(0.0, 3.0), sigma=st.floats(1e-3, 1.0),
+       alpha=st.floats(0.001, 0.499), power=st.floats(0.501, 0.999),
+       pi0=st.floats(0.0, 1.0), mode=st.sampled_from(["conditional", "unconditional"]),
+       ns=st.sets(st.integers(1, N_MAX), min_size=2, max_size=40))
+def test_q_space_gap_is_nondecreasing_in_n(m, t_count, seed, nu, mu, sigma, alpha,
+                                           power, pi0, mode, ns):
+    # q1(n) grows elementwise with n, and so does each order statistic of it,
+    # so no count the gap is made of can fall (ssd module docstring)
+    target = SsdTarget(mode, alpha=alpha, power=power, pi0=pi0)
+    q0, _ = draw_q0(m, t_count, seed)
+    gammas = DesignPriorSample.draw(FoldedT(nu, mu, sigma), t_count, seed).gammas
+    gaps = [_q_space_gap(q0, gammas, n, target) for n in sorted(ns)]
+    assert all(g1 <= g2 for g1, g2 in zip(gaps, gaps[1:]))
 
 
 def test_m_below_three_rejected():

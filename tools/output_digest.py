@@ -1,10 +1,10 @@
 """Print one sha256 per CLI output file and demo, for byte-identity checks.
 
 Runs the ``replisize`` subcommands in-process at small simulation sizes
-(ssd as CSV and JSON, unconditional ssd, sensitivity, predictive with one
-and two workers, analyze), masks the ``wall_time_ms`` values, and prints
-``<sha256>  <file>`` for every file written and ``<sha256>  <run> (stdout)``
-for what each run printed.  It then runs every ``demos/*.py`` of this
+(ssd as CSV and JSON, unconditional ssd, sensitivity as CSV and JSON,
+predictive with one and two workers, analyze), masks the ``wall_time_ms``
+values, and prints ``<sha256>  <file>`` for every file written and
+``<sha256>  <run> (stdout)`` for what each run printed.  It then runs every ``demos/*.py`` of this
 checkout in a fresh process against the same package and prints
 ``<sha256>  <demo> (stdout+stderr)``; the demos cover library values no CLI
 run reaches (quantiles, densities, quadrature).  Two checkouts whose
@@ -52,6 +52,8 @@ RUNS = [
                                "--out", "{out}"]),
     ("sensitivity.csv", ["sensitivity", "--mu-gamma", "0.15", "0.3",
                          "--out", "{out}"]),
+    ("sensitivity.json", ["sensitivity", "--mu-gamma", "0.15", "0.3", "--format", "json",
+                          "--out", "{out}"]),
     # s and t_count large enough that the kernel runs in several chunks
     ("predictive_w1", ["predictive", "--n", "80", "--m", "8", *PREDICTIVE_SIZES,
                        "--out", "{out}"]),
