@@ -39,7 +39,7 @@ class FoldedT:
     parameters
     ----------
     nu: float
-        Degrees of freedom, > 0.  Small values give a heavy upper tail.
+        Degrees of freedom, finite and > 0.  Small values give a heavy upper tail.
     mu: float
         Location, >= 0.
     sigma: float
@@ -52,8 +52,8 @@ class FoldedT:
     sigma: float
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not 0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0 <= self.mu < np.inf:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Thresholds", "EvidenceProbs", "PROB_NAMES", "classify",
-           "threshold_from_alpha", "probs_to_dict"]
+__all__ = ["Thresholds", "EvidenceProbs", "classify", "threshold_from_alpha",
+           "probs_to_dict"]
 
 # The nine probabilities of an EvidenceProbs, in reporting order.
 PROB_NAMES = ("p0_c", "p0_m", "p0_u", "p1_c", "p1_m", "p1_u", "p_c", "p_m", "p_u")

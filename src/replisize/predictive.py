@@ -21,8 +21,6 @@ from .seeding import STREAM_DESIGN, STREAM_PREDICTIVE, substream
 __all__ = [
     "DesignPriorSample",
     "LogBfSample",
-    "draw_q0",
-    "q1_from_q0",
     "simulate_bf_m0",
     "simulate_bf_m1",
     "save_logbf_csv",

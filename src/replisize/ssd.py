@@ -54,8 +54,6 @@ __all__ = [
     "find_n_star",
     "sweep_m",
     "cost_select",
-    "RESULT_COLUMNS",
-    "result_to_row",
 ]
 
 log = logging.getLogger(__name__)
@@ -108,8 +106,8 @@ class CostSpec:
     c2: float
 
     def __post_init__(self):
-        if not (self.c1 >= 0 and self.c2 >= 0):
-            raise ValueError("costs must be nonnegative")
+        if not (0 <= self.c1 < math.inf and 0 <= self.c2 < math.inf):
+            raise ValueError("costs must be nonnegative and finite")
         if self.c1 == 0 and self.c2 == 0:
             raise ValueError("at least one cost component must be positive")
 

@@ -229,6 +229,11 @@ def _result(row):
     ["ssd", "--override", "m_values=[8.9]"],
     ["ssd", "--override", "workers=true"],
     ["ssd", "--override", "analysis_prior.nu=true"],
+    # JSON reads 1e400 as infinity
+    ["ssd", "--override", "analysis_prior.nu=1e400"],
+    ["predictive", "--n", "80", "--m", "8", "--override", "design_prior.nu=1e400"],
+    ["analyze", "--data", "{good_csv}", "--n", "50",
+     "--override", "cost.c1=1e400", "--override", "cost.c2=1"],
     # float() would run these as pi0 = 1 and c1 = 1
     ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "target.pi0=true"],
     ["analyze", "--data", "{good_csv}", "--n", "50",
@@ -249,6 +254,7 @@ def _result(row):
         "sensitivity-late-nan-location", "analyze-t-count", "analyze-alpha",
         "analyze-design-family", "analyze-m-values", "predictive-alpha",
         "s-fraction", "m-values-fraction", "workers-bool", "prior-nu-bool",
+        "analysis-prior-nu-infinite", "design-prior-nu-infinite", "cost-c1-infinite",
         "target-pi0-bool", "cost-c1-bool", "analyze-sigma-inf", "analyze-sigma-tiny",
         "output-object", "predictive-output-format", "analyze-output-format",
         "analyze-output-path", "workers-above-cpu-count"])
@@ -491,3 +497,14 @@ def test_cli_loads_no_scipy_and_lazy_calls_work_cold(tmp_path):
     assert result["values"] == [
         half.pdf(0.1), half.cdf(0.1), half.quantile(0.5), folded.pdf(0.2),
         ChiSquared(7).cdf(6.0), log_bf01_quadrature(9.0, DesignPoint(80, 8), half)]
+
+
+def test_package_exports_each_module_all_once():
+    modules = [replisize.bayes_factor, replisize.distributions, replisize.evidence,
+               replisize.model, replisize.predictive, replisize.ssd]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))  # a star import would shadow a repeat
+    assert sorted(replisize.__all__) == sorted(["__version__", *names])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(replisize, name) is getattr(module, name), name

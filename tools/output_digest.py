@@ -1,4 +1,4 @@
-"""Print one sha256 per CLI output file and demo, for byte-identity checks.
+"""Print one sha256 per CLI output file, demo and the public API, for byte-identity checks.
 
 Runs the ``replisize`` subcommands in-process at small simulation sizes
 (ssd as CSV and JSON, unconditional ssd, sensitivity as CSV and JSON,
@@ -7,8 +7,10 @@ values, and prints ``<sha256>  <file>`` for every file written and
 ``<sha256>  <run> (stdout)`` for what each run printed.  It then runs every ``demos/*.py`` of this
 checkout in a fresh process against the same package and prints
 ``<sha256>  <demo> (stdout+stderr)``; the demos cover library values no CLI
-run reaches (quantiles, densities, quadrature).  Two checkouts whose
-outputs agree byte for byte print the same lines:
+run reaches (quantiles, densities, quadrature).  Last comes
+``<sha256>  replisize.__all__``, a digest of the sorted (name, defining
+module) pairs of the package's public API.  Two checkouts whose outputs and
+public names agree print the same lines:
 
     python3 tools/output_digest.py > mine.txt
     python3 tools/output_digest.py --src ../other/src > theirs.txt
@@ -90,6 +92,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     src = str(Path(args.src).resolve())  # the demos run from a temporary directory
     sys.path.insert(0, src)
+    import replisize
     from replisize import cli
 
     cwd = os.getcwd()
@@ -117,6 +120,10 @@ def main(argv=None):
             for demo in sorted(DEMOS.glob("*.py")):
                 digest = masked_digest(demo_output(demo, src, tmp))
                 print(f"{digest}  demos/{demo.name} (stdout+stderr)")
+            # __version__, a str, has no __module__: the package defines it
+            api = sorted((name, getattr(getattr(replisize, name), "__module__", "replisize"))
+                         for name in replisize.__all__)
+            print(f"{hashlib.sha256(json.dumps(api).encode()).hexdigest()}  replisize.__all__")
         finally:
             os.chdir(cwd)
     return 0
