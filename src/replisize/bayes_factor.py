@@ -49,11 +49,17 @@ __all__ = [
 # max, shift, exp, mean) run from cache rather than from memory.  A chunk
 # is never less than 2 rows: at S = 1e5 that is a 1.6 MB buffer, which
 # keeps glibc's trim threshold (twice the largest block freed) above the
-# three S-vectors a one-row call allocates, so repeated one-row calls
-# (``analyze``) reuse heap pages instead of handing them back to the OS
-# and faulting them in again.  The chunk grid depends only on the sample
-# size, never on worker count.
+# S-vector and two block buffers a one-row call allocates, so repeated
+# one-row calls (``analyze``) reuse heap pages instead of handing them back
+# to the OS and faulting them in again.  The chunk grid depends only on the
+# sample size, never on worker count.
 _CHUNK_ELEMS = 131_072
+
+# Prior draws per block of a one-row call: its `a` and `b` block buffers and
+# the block of the output S-vector it fills (3 x 200 KB) stay in L2 while
+# the block is built, and the two block buffers are all a call allocates
+# besides that S-vector.
+_BLOCK = 25_000
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,12 @@ class AnalysisPriorSample:
 
 
 def _as_q_array(q):
+    """q as a float (any 0-d input) or a float array, checked finite and >= 0."""
+    if np.ndim(q) == 0:
+        q = float(q)
+        if not 0.0 <= q < math.inf:  # written so that NaN fails too
+            raise ValueError("q must be finite and nonnegative")
+        return q
     q = np.asarray(q, dtype=float)
     if np.any(q < 0) or not np.all(np.isfinite(q)):
         raise ValueError("q must be finite and nonnegative")
@@ -101,20 +113,20 @@ def log_m0(q, design):
     return out if out.ndim else float(out)
 
 
-def _mixture_terms(design, gammas):
+def _mixture_terms(design, gammas, a=None, b=None):
     """Slope/intercept arrays of the per-draw log integrand, linear in q.
 
     Writing u = n*gamma^2, each draw contributes
     a - q*b  with  a = ((m-1)/2) ln n - ((m-1)/2) log1p(u),  b = 0.5/(1+u).
     The log1p form keeps a draw at gamma = 0 bit-identical to log_m0's
     constant term, so a degenerate sample collapses BF01 to exactly 1.
-    Both are built in place: a call allocates these two S-vectors and no
-    S-sized temporaries.
+    Both are built in place, in ``a`` and ``b`` when given (buffers the size
+    of ``gammas``), else in two new vectors; there are no temporaries.
     """
     n, m = design.n, design.m
-    b = n * gammas
+    b = np.multiply(n, gammas, out=b)
     b *= gammas
-    a = np.log1p(b)
+    a = np.log1p(b, out=a)
     a *= 0.5 * (1 - m)
     a += 0.5 * (m - 1) * np.log(n)
     b += 1.0
@@ -154,17 +166,46 @@ def _log_mean_exp_rows(q, a, b, workers=1):
     return out
 
 
+def _log_mean_exp_one(q, design, gammas):
+    """log( mean_j exp(a[j] - q*b[j]) ) for one float q, built block by block.
+
+    Bit-identical to a one-row ``_log_mean_exp_rows`` call: each block's
+    ``a`` and ``b`` fill two reused block buffers and its a - q*b goes
+    straight into one S-vector, so every element sees the same operations
+    in the same order.  The max of the block maxima is the max over all
+    draws, and the shift, exp and mean run over the whole vector, as there.
+    """
+    w = np.empty(gammas.size)
+    size = min(_BLOCK, gammas.size)
+    a, b = np.empty(size), np.empty(size)
+    starts = range(0, gammas.size, _BLOCK)
+    maxima = np.empty(len(starts))
+    for k, j0 in enumerate(starts):
+        j1 = min(j0 + _BLOCK, gammas.size)
+        ak, bk = _mixture_terms(design, gammas[j0:j1], a[:j1 - j0], b[:j1 - j0])
+        wk = w[j0:j1]
+        np.multiply(q, bk, out=wk)
+        np.subtract(ak, wk, out=wk)
+        maxima[k] = wk.max()
+    mx = maxima.max()
+    w -= mx
+    np.exp(w, out=w)
+    return float(mx + np.log(w.mean()))
+
+
 def log_m1_mc(q, design, prior, *, workers=1):
     """Monte Carlo log marginal under M1 at the sample held by ``prior``.
 
     Deterministic given the sample; finite for any admissible q (the
     log-sum-exp shift guarantees at least one unit term survives).
-    Accepts scalar or vector q.
+    Accepts scalar or vector q; a scalar q takes the one-row path, which
+    never builds the full ``a`` and ``b`` vectors.
     """
     qa = _as_q_array(q)
+    if isinstance(qa, float):
+        return _log_mean_exp_one(qa, design, prior.gammas)
     a, b = _mixture_terms(design, prior.gammas)
-    out = _log_mean_exp_rows(np.atleast_1d(qa), a, b, workers=workers)
-    return float(out[0]) if qa.ndim == 0 else out
+    return _log_mean_exp_rows(qa, a, b, workers=workers)
 
 
 def log_bf01(q, design, prior, *, workers=1):

@@ -104,12 +104,28 @@ def test_mc_agrees_with_quadrature_on_grid():
                 assert mc == pytest.approx(quad, rel=1e-2)
 
 
-def test_vector_and_scalar_paths_agree(sample_10k):
+def test_vector_and_scalar_paths_agree(monkeypatch, sample_10k):
     design = DesignPoint(n=60, m=6)
     q = np.array([0.0, 3.0, 11.5, 40.0])
     vec = log_bf01(q, design, sample_10k)
     for qi, vi in zip(q, vec):
         assert log_bf01(float(qi), design, sample_10k) == vi
+    # a scalar q is built in blocks of _BLOCK draws: S below one block, a
+    # multiple of it, one above it, and large enough that the mean's
+    # pairwise sum splits the vector; each bit-identical to the array
+    # kernel and to the unchunked reference
+    block = 7
+    monkeypatch.setattr(bayes_factor, "_BLOCK", block)
+    rng = np.random.default_rng(12)
+    for s_size in (block - 2, 3 * block, 3 * block + 1, 10_000):
+        for gammas in (ANALYSIS.sample(s_size, rng), np.zeros(s_size)):
+            prior = AnalysisPriorSample(gammas)
+            for q in (0.0, 11.5, 1e4):
+                one = log_bf01(q, design, prior)
+                assert one == log_bf01(np.array([q]), design, prior)[0]
+                assert one == _reference_log_bf01(np.array([q]), design, gammas)[0]
+                if not gammas.any():
+                    assert one == 0.0
 
 
 def test_worker_count_does_not_change_results(sample_10k):
@@ -209,14 +225,15 @@ def _traced_peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_one_row_call_allocates_three_sample_vectors():
-    # a, b and one chunk row; more than that lets glibc trim and re-fault
-    # the heap on every request of a long run of one-row calls
+def test_one_row_call_allocates_one_sample_vector_and_two_blocks():
+    # one S-vector of a - q*b and the a and b block buffers; more than that
+    # lets glibc trim and re-fault the heap on every request of a long run
+    # of one-row calls
     prior = AnalysisPriorSample.draw(ANALYSIS, 100_000, seed=3)
     t = np.random.default_rng(4).normal(0.2, 0.1, size=8)
     bf01_from_data(t, 80, 1.0, prior)
     peak = _traced_peak_bytes(lambda: bf01_from_data(t, 80, 1.0, prior))
-    assert peak <= 3 * prior.gammas.nbytes + 64 * 1024
+    assert peak <= prior.gammas.nbytes + 2 * 8 * bayes_factor._BLOCK + 64 * 1024
 
 
 def test_batch_call_stays_within_one_chunk_buffer(sample_10k):
@@ -286,10 +303,13 @@ def test_empty_or_invalid_prior_sample_rejected():
 
 def test_negative_q_rejected(sample_10k):
     design = DesignPoint(n=10, m=4)
-    with pytest.raises(ValueError):
-        log_m0(-1.0, design)
-    with pytest.raises(ValueError):
-        log_m1_mc(-1.0, design, sample_10k)
+    for bad in (-1.0, np.nan, np.inf, -np.inf, np.float64(-1.0), np.array(-1.0)):
+        for call in (lambda q: log_m0(q, design),
+                     lambda q: log_m1_mc(q, design, sample_10k),
+                     lambda q: log_bf01(q, design, sample_10k)):
+            with pytest.raises(ValueError, match="^q must be finite and nonnegative$"):
+                call(bad)
+    assert log_bf01(-0.0, design, sample_10k) == log_bf01(0.0, design, sample_10k)
 
 
 def test_prior_sample_draw_is_reproducible():

@@ -2,8 +2,8 @@
 
 Runs the ``replisize`` subcommands in-process at small simulation sizes
 (ssd as CSV and JSON, unconditional ssd, sensitivity as CSV and JSON,
-predictive with one and two workers, analyze), masks the ``wall_time_ms``
-values, and prints ``<sha256>  <file>`` for every file written and
+predictive with one and two workers, analyze at S = 600 and S = 60 000),
+masks the ``wall_time_ms`` values, and prints ``<sha256>  <file>`` for every file written and
 ``<sha256>  <run> (stdout)`` for what each run printed.  It then runs every ``demos/*.py`` of this
 checkout in a fresh process against the same package and prints
 ``<sha256>  <demo> (stdout+stderr)``; the demos cover library values no CLI
@@ -62,6 +62,9 @@ RUNS = [
     ("predictive_w2", ["predictive", "--n", "80", "--m", "8", *PREDICTIVE_SIZES,
                        "--override", "workers=2", "--out", "{out}"]),
     ("analyze.json", ["analyze", "--data", "{data}", "--n", "50", "--out", "{out}"]),
+    # s large enough that a one-row call runs in several blocks plus a tail
+    ("analyze_s60000.json", ["analyze", "--data", "{data}", "--n", "50",
+                             "--override", "s=60000", "--out", "{out}"]),
 ]
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
