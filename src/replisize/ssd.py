@@ -203,39 +203,30 @@ def criterion_gap(n, m, target, priors, sim_sizes, master_seed):
 
 
 def find_n_star(m, target, priors, sim_sizes, master_seed=0, *, workers=1):
-    """Smallest n meeting the design criterion for m sites.
+    """Smallest n meeting the design criterion for m sites, in three phases.
 
-    Brackets the sign change of the gap by doubling (or halving) from
-    N_INIT, then shrinks the bracket by integer-rounded Regula Falsi
-    interpolation, falling back to bisection when the same endpoint is
-    replaced twice in a row.  Terminates when the bracket has width 1.
-    Raises InfeasibleTargetError when the gap is still negative at N_MAX.
+    * Halve from N_INIT while the target is met and n > 1.  If even n = 1
+      meets it, the bracket closes there.
+    * Double while the target is not met; raise InfeasibleTargetError when
+      the gap is still negative at N_MAX.
+    * Shrink the bracket (lo not met, hi met) by integer-rounded Regula
+      Falsi interpolation, falling back to bisection when the same endpoint
+      is replaced twice in a row, until it has width 1.  n* is its top.
     """
     gap = _GapEvaluator(m, target, priors, sim_sizes, master_seed,
                         workers=workers)
 
-    lo_eval = gap(N_INIT)
+    hi_eval = lo_eval = gap(N_INIT)
+    while lo_eval.gap >= 0 and lo_eval.n > 1:
+        hi_eval, lo_eval = lo_eval, gap(lo_eval.n // 2)
     if lo_eval.gap >= 0:
-        hi_eval = lo_eval
-        while hi_eval.n > 1:
-            cand = gap(hi_eval.n // 2)
-            if cand.gap < 0:
-                lo_eval = cand
-                break
-            hi_eval = cand
-        else:
-            return _result(m, hi_eval, gap, master_seed)
-    else:
-        while True:
-            n_next = min(2 * lo_eval.n, N_MAX)
-            hi_eval = gap(n_next)
-            if hi_eval.gap >= 0:
-                break
-            if n_next >= N_MAX:
-                raise InfeasibleTargetError(m, hi_eval.gap)
-            lo_eval = hi_eval
+        hi_eval = lo_eval  # n = 1 meets the target
+    while hi_eval.gap < 0:
+        if hi_eval.n >= N_MAX:
+            raise InfeasibleTargetError(m, hi_eval.gap)
+        lo_eval, hi_eval = hi_eval, gap(min(2 * hi_eval.n, N_MAX))
 
-    last_side, repeats = 0, 0
+    last_met, repeats = None, 0
     while hi_eval.n - lo_eval.n > 1:
         if repeats >= 2:
             cand_n = (lo_eval.n + hi_eval.n) // 2
@@ -245,19 +236,15 @@ def find_n_star(m, target, priors, sim_sizes, master_seed=0, *, workers=1):
                 hi_eval.gap - lo_eval.gap)
             cand_n = min(max(round(frac), lo_eval.n + 1), hi_eval.n - 1)
         cand = gap(cand_n)
-        side = 1 if cand.gap >= 0 else -1
-        if side > 0:
+        met = cand.gap >= 0
+        if met:
             hi_eval = cand
         else:
             lo_eval = cand
-        repeats = repeats + 1 if side == last_side else 1
-        last_side = side
-    return _result(m, hi_eval, gap, master_seed)
-
-
-def _result(m, final_eval, evaluator, master_seed):
-    return SsdResult(m=m, n_star=final_eval.n, thresholds=final_eval.thresholds,
-                     probs=final_eval.probs, evaluations=len(evaluator.cache),
+        repeats = repeats + 1 if met == last_met else 1
+        last_met = met
+    return SsdResult(m=m, n_star=hi_eval.n, thresholds=hi_eval.thresholds,
+                     probs=hi_eval.probs, evaluations=len(gap.cache),
                      seed=int(master_seed))
 
 

@@ -248,6 +248,15 @@ def _result(row):
     ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "output.path=5"],
     # rejected while validating, so no thread is started
     ["ssd", "--override", f"workers={(os.cpu_count() or 1) + 1}"],
+    # numpy's t draws overflow to inf this far down (FoldedT docstring)
+    ["analyze", "--data", "{good_csv}", "--n", "50",
+     "--override", "analysis_prior.nu=0.001"],
+    # a later --config replaces the fixture's
+    ["ssd", "--config", "{missing_json}"],
+    ["ssd", "--config", "{list_json}"],
+    ["ssd", "--override", "m_values.x=1"],
+    ["ssd", "--m", "5..3"],
+    ["ssd", "--override", "m_values=8"],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
@@ -257,16 +266,21 @@ def _result(row):
         "analysis-prior-nu-infinite", "design-prior-nu-infinite", "cost-c1-infinite",
         "target-pi0-bool", "cost-c1-bool", "analyze-sigma-inf", "analyze-sigma-tiny",
         "output-object", "predictive-output-format", "analyze-output-format",
-        "analyze-output-path", "workers-above-cpu-count"])
+        "analyze-output-path", "workers-above-cpu-count", "analysis-prior-nu-tiny",
+        "config-not-found", "config-top-level-list", "override-through-list",
+        "m-empty-range", "m-values-not-a-list"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
                                              monkeypatch, capsys):
     bad_csv = tmp_path / "sites.csv"
     bad_csv.write_text("t\n0.1\nabc\n0.3\n")
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("t\n0.11\n0.39\n0.25\n0.2\n")
+    list_json = tmp_path / "list.json"
+    list_json.write_text(json.dumps([SMALL_CONFIG]))
     sweeps = []
     monkeypatch.setattr("replisize.cli._run_sweep", lambda *a, **k: sweeps.append(a))
-    argv = [arg.format(bad_csv=bad_csv, good_csv=good_csv) for arg in argv]
+    argv = [arg.format(bad_csv=bad_csv, good_csv=good_csv, list_json=list_json,
+                       missing_json=tmp_path / "missing.json") for arg in argv]
     code = main(argv[:1] + ["--config", str(config_path),
                             "--out", str(tmp_path / "out")] + argv[1:])
     err = capsys.readouterr().err

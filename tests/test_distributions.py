@@ -93,6 +93,14 @@ def test_quantile_inverts_cdf(dist):
         assert dist.cdf(dist.quantile(p)) == pytest.approx(p, abs=1e-6)
 
 
+def test_quantile_bracket_doubles_past_fifty_scales():
+    # a folded Cauchy has cdf (2/pi) atan(x): its 0.99999 quantile, ~63 662,
+    # lies far past the first bracket end at 50 scales
+    dist = FoldedT(nu=1, mu=0, sigma=1)
+    assert dist.cdf(50.0) < 0.99999
+    assert dist.quantile(0.99999) == pytest.approx(np.tan(np.pi * 0.99999 / 2), rel=1e-8)
+
+
 def test_chi_squared_sample_mean_matches_df():
     rng = np.random.default_rng(101)
     draws = ChiSquared(7).sample(1_000_000, rng)
@@ -137,6 +145,17 @@ def test_parameter_validation():
         ChiSquared(2.5)
 
 
+def test_nu_below_one_tenth_rejected_and_draws_at_one_tenth_finite():
+    # numpy's standard_t overflows to inf when its Gamma(nu/2) draw underflows,
+    # with probability ~10**(-161.7 nu) per draw: 2.4 % at nu 0.01, ~1e-16 at 0.1
+    with pytest.raises(ValueError, match="nu must be finite and >= 0.1"):
+        FoldedT(0.099, 0, 1)
+    with pytest.raises(ValueError, match="nu must be finite and >= 0.1"):
+        HalfT(0.099, 1)
+    draws = FoldedT(nu=0.1, mu=0, sigma=1).sample(1_000_000, 0)
+    assert np.all(np.isfinite(draws))
+
+
 def test_empty_sample_request_rejected():
     with pytest.raises(ValueError):
         HALF.sample(0, 1)
@@ -153,6 +172,8 @@ def test_prior_dict_round_trip():
         assert prior_from_dict(prior_to_dict(prior)) == prior
     assert prior_to_dict(HALF) == {"family": "half_t", "nu": 4, "sigma": 1 / 7}
     assert "mu" in prior_to_dict(FOLDED)
+    with pytest.raises(TypeError, match="not a prior distribution"):
+        prior_to_dict(object())
 
 
 def test_prior_from_dict_rejects_bad_specs():

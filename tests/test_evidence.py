@@ -72,6 +72,11 @@ def test_design_mismatch_and_order_rejected(pair_80x8):
         classify(m1, m0, Thresholds(3.0, 1 / 3), pi0=0.5)
 
 
+def test_pi0_outside_the_unit_interval_rejected(pair_80x8):
+    with pytest.raises(ValueError, match="pi0 must lie in"):
+        classify(*pair_80x8, Thresholds(3.0, 1 / 3), pi0=1.5)
+
+
 def test_fixed_degenerate_thresholds_rejected_at_construction():
     with pytest.raises(ValueError, match="degenerate"):
         Thresholds(k0=0.5, inv_k1=0.8)

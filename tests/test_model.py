@@ -40,6 +40,8 @@ def test_q_input_validation():
         compute_q([1.0], n=4, sigma=1.0)
     with pytest.raises(ValueError):
         compute_q([1.0, np.nan], n=4, sigma=1.0)
+    with pytest.raises(ValueError, match="1-d"):
+        compute_q([[1.0, 2.0], [3.0, 4.0]], n=4, sigma=1.0)
     for n, sigma in [(0, 1.0), (np.nan, 1.0), (4, 0.0), (4, np.nan), (4, np.inf)]:
         with pytest.raises(ValueError):
             compute_q([1.0, 2.0], n=n, sigma=sigma)
@@ -110,9 +112,11 @@ def test_load_effect_sizes_with_and_without_header(tmp_path):
     with_header.write_text("t\n0.1\n0.2\n0.3\n")
     bare = tmp_path / "b.csv"
     bare.write_text("0.1\n0.2\n0.3\n")
+    blank_lines = tmp_path / "c.csv"
+    blank_lines.write_text("t\n\n0.1\n0.2\n \n0.3\n\n")
     expected = np.array([0.1, 0.2, 0.3])
-    assert np.allclose(load_effect_sizes(with_header), expected)
-    assert np.allclose(load_effect_sizes(bare), expected)
+    for path in (with_header, bare, blank_lines):
+        assert np.allclose(load_effect_sizes(path), expected)
 
 
 def test_load_effect_sizes_rejects_bad_rows(tmp_path):

@@ -123,6 +123,8 @@ def test_log_bf_sample_validation(prior_a):
         LogBfSample(values=np.array([1.0, np.nan]), model="M0", design=D80x8, s=10)
     with pytest.raises(ValueError):
         LogBfSample(values=np.array([1.0]), model="M2", design=D80x8, s=10)
+    with pytest.raises(ValueError, match="1-d"):
+        LogBfSample(values=np.ones((2, 2)), model="M0", design=D80x8, s=10)
     assert LogBfSample(values=np.ones(5), model="M0", design=D80x8, s=10).t_count == 5
 
 

@@ -55,6 +55,12 @@ def test_target_validation():
         SsdTarget("unconditional", 0.01, 0.8, pi0=1.4)
 
 
+def test_sim_sizes_validation():
+    for s, t_count in [(0, 10), (10, 0)]:
+        with pytest.raises(ValueError, match="simulation sizes must be positive"):
+            SimSizes(s, t_count)
+
+
 def test_gap_is_deterministic_and_carries_diagnostics():
     a = criterion_gap(60, 8, COND, PRIORS, SMALL, SEED)
     b = criterion_gap(60, 8, COND, PRIORS, SMALL, SEED)
@@ -262,6 +268,105 @@ def test_search_equals_exhaustive_scan(target):
         assert all(g1 <= g2 for g1, g2 in zip(gaps, gaps[1:]))
         exhaustive = 1 + next(i for i, g in enumerate(gaps) if g >= 0)
         assert result.n_star == exhaustive
+
+
+def _reference_find_n_star(evaluator):
+    # find_n_star's bracket-and-refine loop as it stood before it was written
+    # as three phases, kept as the oracle for its order of evaluations;
+    # returns the evaluation at n*
+    lo_eval = evaluator(ssd.N_INIT)
+    if lo_eval.gap >= 0:
+        hi_eval = lo_eval
+        while hi_eval.n > 1:
+            cand = evaluator(hi_eval.n // 2)
+            if cand.gap < 0:
+                lo_eval = cand
+                break
+            hi_eval = cand
+        else:
+            return hi_eval
+    else:
+        while True:
+            n_next = min(2 * lo_eval.n, N_MAX)
+            hi_eval = evaluator(n_next)
+            if hi_eval.gap >= 0:
+                break
+            if n_next >= N_MAX:
+                raise InfeasibleTargetError(evaluator.m, hi_eval.gap)
+            lo_eval = hi_eval
+
+    last_side, repeats = 0, 0
+    while hi_eval.n - lo_eval.n > 1:
+        if repeats >= 2:
+            cand_n = (lo_eval.n + hi_eval.n) // 2
+            repeats = 0
+        else:
+            frac = lo_eval.n - lo_eval.gap * (hi_eval.n - lo_eval.n) / (
+                hi_eval.gap - lo_eval.gap)
+            cand_n = min(max(round(frac), lo_eval.n + 1), hi_eval.n - 1)
+        cand = evaluator(cand_n)
+        side = 1 if cand.gap >= 0 else -1
+        if side > 0:
+            hi_eval = cand
+        else:
+            lo_eval = cand
+        repeats = repeats + 1 if side == last_side else 1
+        last_side = side
+    return hi_eval
+
+
+class _RecordingEvaluator(ssd._GapEvaluator):
+    """A _GapEvaluator that lists each n it evaluates, in call order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.order = []
+
+    def _evaluate(self, n):
+        self.order.append(n)
+        return super()._evaluate(n)
+
+
+def _search_outcome(search):
+    # (result, None) from a search that ends, (None, last_gap) from one that gives up
+    try:
+        return search(), None
+    except InfeasibleTargetError as err:
+        return None, err.last_gap
+
+
+# over both modes: 44 searches double from N_INIT, 16 halve and stop above
+# n = 1, 12 halve down to n = 1, and the point mass (mu 0, sigma 1e-12) runs
+# into N_MAX
+REFERENCE_CASES = (
+    [(target, FoldedT(nu=4, mu=mu, sigma=1 / 55), m, seed)
+     for target in (COND, UNCOND) for mu in (0.05, 0.2, 1.0, 3.0)
+     for m in (3, 8, 17) for seed in range(3)]
+    + [(target, FoldedT(nu=4, mu=0.0, sigma=1e-12), 8, 0) for target in (COND, UNCOND)]
+)
+
+
+@pytest.mark.parametrize("target, design, m, seed", REFERENCE_CASES)
+def test_search_evaluates_as_the_reference_loop(monkeypatch, target, design, m, seed):
+    priors = Priors(ANALYSIS, design)
+    sizes = SimSizes(s=300, t_count=800)
+    searched = []
+
+    def recording(*args, **kwargs):
+        searched.append(_RecordingEvaluator(*args, **kwargs))
+        return searched[-1]
+
+    monkeypatch.setattr(ssd, "_GapEvaluator", recording)
+    got = _search_outcome(lambda: find_n_star(m, target, priors, sizes, master_seed=seed))
+    reference = _RecordingEvaluator(m, target, priors, sizes, seed)
+
+    def reference_result():
+        final = _reference_find_n_star(reference)
+        return SsdResult(m=m, n_star=final.n, thresholds=final.thresholds,
+                         probs=final.probs, evaluations=len(reference.cache), seed=seed)
+
+    assert got == _search_outcome(reference_result)
+    assert searched[0].order == reference.order
 
 
 @pytest.mark.parametrize("target", [COND, UNCOND])

@@ -1,7 +1,8 @@
 """Print one sha256 per CLI output file, demo and the public API, for byte-identity checks.
 
 Runs the ``replisize`` subcommands in-process at small simulation sizes
-(ssd as CSV and JSON, unconditional ssd, sensitivity as CSV and JSON,
+(ssd as CSV and JSON, unconditional ssd, sensitivity as CSV and JSON, and
+again at two design-prior locations whose searches halve down from N_INIT,
 predictive with one and two workers, analyze at S = 600 and S = 60 000),
 masks the ``wall_time_ms`` values, and prints ``<sha256>  <file>`` for every file written and
 ``<sha256>  <run> (stdout)`` for what each run printed.  It then runs every ``demos/*.py`` of this
@@ -56,6 +57,10 @@ RUNS = [
                          "--out", "{out}"]),
     ("sensitivity.json", ["sensitivity", "--mu-gamma", "0.15", "0.3", "--format", "json",
                           "--out", "{out}"]),
+    # design priors far from 0: n* 4 and 3 at mu 1 (halving stops at n = 2),
+    # 1 at mu 3 (halving runs down to n = 1)
+    ("sensitivity_halving.csv", ["sensitivity", "--mu-gamma", "1.0", "3.0",
+                                 "--out", "{out}"]),
     # s and t_count large enough that the kernel runs in several chunks
     ("predictive_w1", ["predictive", "--n", "80", "--m", "8", *PREDICTIVE_SIZES,
                        "--out", "{out}"]),
