@@ -140,24 +140,23 @@ def _require(cfg, name):
 
 def resolve_config(args, *, need=()):
     """Merge config file / defaults / overrides into a validated RunConfig."""
-    if getattr(args, "config", None) and getattr(args, "paper_defaults", False):
+    if args.config and args.paper_defaults:
         raise ConfigError("use either --config or --paper-defaults, not both")
-    if getattr(args, "config", None):
+    if args.config:
         cfg = _load_config_file(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: top-level value must be an object")
-    elif getattr(args, "paper_defaults", False):
+    elif args.paper_defaults:
         cfg = copy.deepcopy(DEFAULT_CONFIG)
     else:
         raise ConfigError("a run configuration is required: pass --config PATH "
                           "or --paper-defaults")
-    for spec in getattr(args, "override", None) or []:
+    for spec in args.override or []:
         apply_override(cfg, spec)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    m_spec = getattr(args, "m", None)
-    if isinstance(m_spec, str):  # predictive reuses --m as a plain integer
-        cfg["m_values"] = parse_m_values(m_spec)
+    if getattr(args, "m", None) is not None:  # only ssd and sensitivity take --m
+        cfg["m_values"] = parse_m_values(args.m)
     return _validate_config(cfg, need=set(need))
 
 
@@ -340,7 +339,7 @@ def cmd_ssd(args):
 
 def cmd_predictive(args):
     run = resolve_config(args, need=("design_prior", "t_count"))
-    design = _parse("design", DesignPoint, args.n, args.m)
+    design = _parse("design", DesignPoint, args.n, args.sites)
     started = time.perf_counter()
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     prior_d = DesignPriorSample.draw(run.design_prior, run.t_count, run.seed)
@@ -467,7 +466,8 @@ def build_parser():
     p = sub.add_parser("predictive", help="export predictive log BF01 samples")
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="subjects per site")
-    p.add_argument("--m", type=int, required=True, help="number of sites")
+    p.add_argument("--m", type=int, required=True, dest="sites", metavar="M",
+                   help="number of sites")
     p.set_defaults(func=cmd_predictive)
 
     p = sub.add_parser("sensitivity",

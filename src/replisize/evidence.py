@@ -90,16 +90,15 @@ def classify(sample_m0, sample_m1, th, pi0):
     log_hi = np.log(max(th.k0, th.inv_k1))
     log_lo = np.log(min(th.k0, th.inv_k1))
 
-    def triple(values, favours_truth):
+    def shares(values):
+        """Shares of draws above, below and between the cutoffs."""
         t = values.size
         above = int(np.count_nonzero(values > log_hi))
         below = int(np.count_nonzero(values < log_lo))
-        undet = t - above - below
-        correct, misleading = (above, below) if favours_truth == "M0" else (below, above)
-        return correct / t, misleading / t, undet / t
+        return above / t, below / t, (t - above - below) / t
 
-    p0_c, p0_m, p0_u = triple(sample_m0.values, "M0")
-    p1_c, p1_m, p1_u = triple(sample_m1.values, "M1")
+    p0_c, p0_m, p0_u = shares(sample_m0.values)
+    p1_m, p1_c, p1_u = shares(sample_m1.values)
     pi1 = 1.0 - pi0
     return EvidenceProbs(
         p0_c=p0_c, p0_m=p0_m, p0_u=p0_u,
