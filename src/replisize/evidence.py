@@ -9,7 +9,7 @@ probability pi0) are reported.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,17 +28,35 @@ class Thresholds:
     quantiles, or None for a pair fixed directly.  A fixed pair must leave
     an undetermined region (inv_k1 < k0); a derived pair may overlap, and
     ``classify`` then leaves the overlap undetermined.
+
+    ``classify`` compares log BF01 against ``log_k0`` and ``log_inv_k1``.
+    A pair given by value carries the logs of k0 and inv_k1; a pair built
+    by ``from_log`` carries its log cutoffs as given, so a calibrated cutoff
+    draw never lies beyond its own cutoff, and a k0 whose exponential
+    underflows to 0 still classifies.
     """
 
     k0: float
     inv_k1: float
     alpha: float | None = None
+    log_k0: float | None = field(default=None, repr=False)
+    log_inv_k1: float | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_log(cls, log_k0, log_inv_k1, alpha):
+        """Pair derived at error rate ``alpha`` from log cutoffs."""
+        return cls(float(np.exp(log_k0)), float(np.exp(log_inv_k1)), alpha,
+                   log_k0, log_inv_k1)
 
     def __post_init__(self):
-        if not self.k0 > 0:
-            raise ValueError(f"k0 must be positive, got {self.k0}")
-        if not self.inv_k1 > 0 or not math.isfinite(self.inv_k1):
-            raise ValueError(f"inv_k1 must be positive and finite, got {self.inv_k1}")
+        if self.log_k0 is None:
+            if not self.k0 > 0:
+                raise ValueError(f"k0 must be positive, got {self.k0}")
+            object.__setattr__(self, "log_k0", float(np.log(self.k0)))
+        if self.log_inv_k1 is None:
+            if not self.inv_k1 > 0 or not math.isfinite(self.inv_k1):
+                raise ValueError(f"inv_k1 must be positive and finite, got {self.inv_k1}")
+            object.__setattr__(self, "log_inv_k1", float(np.log(self.inv_k1)))
         if self.alpha is None and self.degenerate:
             raise ValueError(
                 f"degenerate fixed thresholds (inv_k1={self.inv_k1} >= k0={self.k0}) "
@@ -87,8 +105,8 @@ def classify(sample_m0, sample_m1, th, pi0):
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
 
-    log_hi = np.log(max(th.k0, th.inv_k1))
-    log_lo = np.log(min(th.k0, th.inv_k1))
+    log_hi = max(th.log_k0, th.log_inv_k1)
+    log_lo = min(th.log_k0, th.log_inv_k1)
 
     def shares(values):
         """Shares of draws above, below and between the cutoffs."""
@@ -119,20 +137,20 @@ def _nearest_rank(p, t):
 
 
 def threshold_from_alpha(sample, alpha):
-    """Evidence cutoff pinning the misleading tail of a predictive BF01
+    """Log evidence cutoff pinning the misleading tail of a predictive BF01
     sample at alpha.
 
-    An M0 sample gives 1/k1 as the alpha-quantile of BF01 (by construction
-    P(BF01 < 1/k1) = alpha up to one empirical-quantile step); an M1 sample
-    gives k0 as the (1-alpha)-quantile.  Empirical quantile is
-    nearest-rank, i.e. the ceil(p*T)-th order statistic.
+    An M0 sample gives log(1/k1) as the alpha-quantile of log BF01 (by
+    construction P(BF01 < 1/k1) = alpha up to one empirical-quantile step);
+    an M1 sample gives log k0 as the (1-alpha)-quantile.  Empirical quantile
+    is nearest-rank, i.e. the ceil(p*T)-th order statistic.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
     values = np.sort(sample.values)
     p = alpha if sample.model == "M0" else 1.0 - alpha
     rank = _nearest_rank(p, values.size)
-    return float(np.exp(values[rank - 1]))
+    return float(values[rank - 1])
 
 
 def probs_to_dict(probs, thresholds):

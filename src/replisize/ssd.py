@@ -13,18 +13,18 @@ function of n; the search is a Regula Falsi bracket refinement rounded to
 integers, with a bisection fallback against stalling.
 
 The search rests on one assumption: computed log BF01 is strictly
-decreasing over the realised Q draws, and the exp/log round trip of a
-calibrated cutoff moves no count.  Each cutoff is then log BF01 at an order
-statistic of Q, and every count ``classify`` makes is a count of Q draws
+decreasing over the realised Q draws.  Each calibrated cutoff is log BF01
+at an order statistic of Q, carried in log space from the calibration to
+``classify``, so every count ``classify`` makes is a count of Q draws
 beyond an order statistic.  Two properties follow.
 
 * The gap is non-decreasing in n.  Under M1, q1(n) = q0 (1 + n gamma^2)
   grows elementwise with n while the M0 order statistic q* behind 1/k1
   stays fixed, so #{q1(n) > q*} never falls; the order statistic of q1(n)
   behind k0 grows too, so #{q0 < q_k0(n)} never falls while q_k0(n) lies
-  below q*.  The round trip can fail once a derived pair overlaps
-  (k0 < 1/k1), as it does on the gap's plateau at large n, and the gap can
-  then step down there by one M0 draw.
+  below q*.  Once q_k0(n) passes q*, the pair overlaps (k0 < 1/k1) and
+  both counts stay at their largest values, #{q0 < q*} and the number of
+  q1(n) above q_k0(n): the gap's plateau at large n is flat.
 * n* does not depend on the analysis prior.  The prior sets the value of
   each cutoff, not which Q draws fall beyond it, so n*, the number of
   evaluations and p0_c, p1_c and p_c are the same under any analysis prior;
@@ -186,10 +186,10 @@ class _GapEvaluator:
         sample1 = LogBfSample(values=lb1, model="M1", design=design, s=self.prior_a.s)
 
         alpha = self.target.alpha
-        inv_k1 = threshold_from_alpha(sample0, alpha)
-        k0 = (math.inf if self.target.mode == "conditional"
-              else threshold_from_alpha(sample1, alpha))
-        th = Thresholds(k0=k0, inv_k1=inv_k1, alpha=alpha)
+        log_inv_k1 = threshold_from_alpha(sample0, alpha)
+        log_k0 = (math.inf if self.target.mode == "conditional"
+                  else threshold_from_alpha(sample1, alpha))
+        th = Thresholds.from_log(log_k0, log_inv_k1, alpha)
         probs = classify(sample0, sample1, th, self.target.pi0)
         achieved = probs.p1_c if self.target.mode == "conditional" else probs.p_c
         return GapEval(n=n, gap=achieved - self.target.power,

@@ -181,6 +181,20 @@ def test_infeasible_target_exits_1(tmp_path, config_path, capsys):
     assert read_results_csv(out) == []
 
 
+def test_unconditional_target_above_the_plateau_is_infeasible_for_every_m(tmp_path, capsys):
+    # p_c tops out near 1 - alpha; while n doubles, k0 underflows to 0 in the
+    # m = 6 search, which still ends at N_MAX, and m = 8 is searched after it
+    out = tmp_path / "results.csv"
+    code = main(["ssd", "--paper-defaults", "--m", "6,8",
+                 "--override", "target.mode=unconditional",
+                 "--override", "target.power=0.995",
+                 "--override", "s=300", "--override", "t_count=800",
+                 "--out", str(out)])
+    assert code == 1
+    assert "error: target infeasible for m in [6, 8]" in capsys.readouterr().err
+    assert read_results_csv(out) == []
+
+
 def test_paper_defaults_with_overrides(tmp_path, capsys):
     out = tmp_path / "results.csv"
     code = main(["ssd", "--paper-defaults", "--m", "6,8",

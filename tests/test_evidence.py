@@ -111,22 +111,22 @@ def test_thresholds_validation():
 def test_nearest_rank_on_small_sample():
     values = np.log([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
     # M0: ceil(0.25 * 10) = 3rd order statistic
-    assert threshold_from_alpha(_sample(values, "M0"), 0.25) == pytest.approx(3.0)
+    assert math.exp(threshold_from_alpha(_sample(values, "M0"), 0.25)) == pytest.approx(3.0)
     # M1: ceil(0.75 * 10) = 8th order statistic
-    assert threshold_from_alpha(_sample(values, "M1"), 0.25) == pytest.approx(8.0)
+    assert math.exp(threshold_from_alpha(_sample(values, "M1"), 0.25)) == pytest.approx(8.0)
 
 
 def test_constant_sample_returns_the_constant():
     values = np.full(50, math.log(2.5))
-    assert threshold_from_alpha(_sample(values, "M0"), 0.1) == pytest.approx(2.5)
-    assert threshold_from_alpha(_sample(values, "M1"), 0.1) == pytest.approx(2.5)
+    assert math.exp(threshold_from_alpha(_sample(values, "M0"), 0.1)) == pytest.approx(2.5)
+    assert math.exp(threshold_from_alpha(_sample(values, "M1"), 0.1)) == pytest.approx(2.5)
 
 
 def test_threshold_round_trips_to_alpha(pair_80x8):
     m0, m1 = pair_80x8
     t_count = m0.t_count
     for alpha in (0.01, 0.05, 0.1):
-        inv_k1 = threshold_from_alpha(m0, alpha)
+        inv_k1 = math.exp(threshold_from_alpha(m0, alpha))
         probs = classify(m0, m1, Thresholds(k0=math.inf, inv_k1=inv_k1), pi0=0.5)
         assert abs(probs.p0_m - alpha) <= 1.0 / t_count + 1e-12
 
@@ -150,7 +150,7 @@ def test_detection_threshold_at_benchmark_design():
     # full-scale lower cutoff for alpha = 0.01 at n=100, m=8
     prior_a = AnalysisPriorSample.draw(ANALYSIS, 10_000, seed=20260809)
     sample = simulate_bf_m0(DesignPoint(100, 8), prior_a, 50_000, 20260809)
-    inv_k1 = threshold_from_alpha(sample, 0.01)
+    inv_k1 = math.exp(threshold_from_alpha(sample, 0.01))
     assert inv_k1 == pytest.approx(0.215, abs=0.015)
 
 
@@ -160,7 +160,7 @@ def test_null_support_threshold_at_benchmark_design():
     prior_a = AnalysisPriorSample.draw(ANALYSIS, 10_000, seed=20260809)
     prior_d = DesignPriorSample.draw(DESIGN_PRIOR, 50_000, seed=20260809)
     sample = simulate_bf_m1(design, prior_a, prior_d, 20260809)
-    k0 = threshold_from_alpha(sample, 0.01)
+    k0 = math.exp(threshold_from_alpha(sample, 0.01))
     assert k0 == pytest.approx(2.015, abs=0.1)
 
 

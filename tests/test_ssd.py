@@ -85,6 +85,16 @@ def test_gap_nondecreasing_on_grid():
     assert all(g1 <= g2 for g1, g2 in zip(gaps, gaps[1:]))
 
 
+def test_gap_nondecreasing_on_the_overlap_plateau():
+    # beyond 2 n* (n* = 150 here) the derived pair overlaps, k0 < 1/k1; with
+    # the cutoffs compared in log space the gap stays flat there
+    evals = [criterion_gap(n, 8, UNCOND, PRIORS, SMALL, SEED)
+             for n in range(300, 3001, 300)]
+    assert all(e.thresholds.degenerate for e in evals[1:])
+    gaps = [e.gap for e in evals]
+    assert all(g1 <= g2 for g1, g2 in zip(gaps, gaps[1:]))
+
+
 def test_gap_with_pointmass_design_prior_pins_alpha():
     # all design draws at ~0 make the two predictive samples coincide, so
     # the detection rate collapses to the pinned error rate
@@ -94,6 +104,22 @@ def test_gap_with_pointmass_design_prior_pins_alpha():
         assert g.gap < 0
         assert g.gap == pytest.approx(COND.alpha - COND.power,
                                       abs=2.0 / SMALL.t_count)
+
+
+def test_underflowed_k0_classifies_by_its_log_cutoff():
+    # above the p_c plateau n doubles until M1's (1 - alpha)-quantile of
+    # log BF01 lies below -745, where exp(log k0) underflows to 0.  The log
+    # cutoff still classifies, the cutoff draw itself counts as undetermined,
+    # and the row reports k0 as 0
+    target = SsdTarget("unconditional", alpha=0.01, power=0.995)
+    sizes = SimSizes(s=300, t_count=800)
+    g = criterion_gap(40_960, 8, target, PRIORS, sizes, 1)
+    assert g.thresholds.k0 == 0.0 and g.thresholds.log_k0 < -745
+    assert g.thresholds.log_k0 < g.thresholds.log_inv_k1
+    rank = _nearest_rank(1.0 - target.alpha, sizes.t_count)
+    assert g.probs.p1_c == (rank - 1) / sizes.t_count
+    row = result_to_row(SsdResult(8, g.n, g.thresholds, g.probs, 1, 1))
+    assert row["k0"] == 0.0
 
 
 def test_gap_samples_equal_predictive_simulation(monkeypatch):
@@ -120,7 +146,8 @@ def _check_q_space_oracle(m, mu, seed, target):
     # log BF01 is non-increasing in q, so each alpha-calibrated cutoff is BF01
     # at an order statistic of q: 1/k1 at q*, the ceil(alpha T)-th largest q0,
     # and k0 at the ceil((1 - alpha) T)-th largest q1(n).  Every count is then
-    # #{q0 < lo} or #{q1 > hi}; no kernel call is needed to find n*
+    # a count of q draws below lo or above hi, and a cutoff draw is never
+    # beyond its own cutoff; no kernel call is needed to find n*
     priors = Priors(ANALYSIS, FoldedT(nu=4, mu=mu, sigma=1 / 55))
     sizes = SimSizes(s=600, t_count=1500)
     t = sizes.t_count
@@ -133,11 +160,13 @@ def _check_q_space_oracle(m, mu, seed, target):
                 else np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)])
         lo, hi = min(q_k0, q_star), max(q_k0, q_star)
         p0_c = np.count_nonzero(evaluator.q0 < lo) / t
+        p0_m = np.count_nonzero(evaluator.q0 > hi) / t
         p1_c = np.count_nonzero(q1 > hi) / t
-        return p0_c, p1_c, target.pi0 * p0_c + (1.0 - target.pi0) * p1_c
+        p1_m = np.count_nonzero(q1 < lo) / t
+        return p0_c, p0_m, p1_c, p1_m, target.pi0 * p0_c + (1.0 - target.pi0) * p1_c
 
     def gap(n):
-        _, p1_c, p_c = probs(n)
+        *_, p1_c, _, p_c = probs(n)
         return (p1_c if target.mode == "conditional" else p_c) - target.power
 
     n_star = find_n_star(m, target, priors, sizes, master_seed=seed).n_star
@@ -145,7 +174,8 @@ def _check_q_space_oracle(m, mu, seed, target):
     assert all(gap(n) < 0 for n in range(1, n_star))
     for n in (n_star - 1, n_star, n_star + 1, 2 * n_star):
         got = evaluator(n)
-        assert (got.probs.p0_c, got.probs.p1_c, got.probs.p_c) == probs(n)
+        p = got.probs
+        assert (p.p0_c, p.p0_m, p.p1_c, p.p1_m, p.p_c) == probs(n)
         assert got.gap == gap(n)
 
 
