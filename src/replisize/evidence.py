@@ -29,11 +29,9 @@ class Thresholds:
     an undetermined region (inv_k1 < k0); a derived pair may overlap, and
     ``classify`` then leaves the overlap undetermined.
 
-    ``classify`` compares log BF01 against ``log_k0`` and ``log_inv_k1``.
-    A pair given by value carries the logs of k0 and inv_k1; a pair built
-    by ``from_log`` carries its log cutoffs as given, so a calibrated cutoff
-    draw never lies beyond its own cutoff, and a k0 whose exponential
-    underflows to 0 still classifies.
+    ``classify`` compares log BF01 against ``log_k0`` and ``log_inv_k1``:
+    the logs of k0 and inv_k1, or for a pair built by ``from_log`` the log
+    cutoffs themselves, whose exponentials k0 and inv_k1 may underflow to 0.
     """
 
     k0: float
