@@ -51,6 +51,7 @@ class ConfigError(ValueError):
 
 
 DEFAULT_SEED = 1729
+_TABLE_HELP = "The table is written as JSON when its path ends in .json, else as CSV."
 
 # Default weakly informative analysis prior and informative design prior,
 # with simulation sizes large enough for stable tail quantiles.
@@ -279,8 +280,8 @@ def _sidecar(run, wall_time_ms, extra=None):
 
 
 def _resolve_out(args, default_name):
-    fmt = args.format or "csv"
-    return Path(args.out or default_name.format(fmt=fmt)), fmt
+    path = Path(args.out or default_name)
+    return path, "json" if path.suffix == ".json" else "csv"
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def _sweep_table(run, groups, path, fmt, extra):
 
 def cmd_ssd(args):
     run = resolve_config(args, need=("design_prior", "t_count", "m_values", "target"))
-    path, fmt = _resolve_out(args, "ssd_results.{fmt}")
+    path, fmt = _resolve_out(args, "ssd_results.csv")
     results, code = _sweep_table(run, [({}, run.design_prior)], path, fmt,
                                  {"target": asdict(run.target)})
     for row in map(result_to_row, results):
@@ -383,7 +384,7 @@ def cmd_sensitivity(args):
     # every location is checked before the first sweep
     groups = [({"mu_gamma": mu}, _parse("mu_gamma", FoldedT, base.nu, mu, base.sigma))
               for mu in mus]
-    path, fmt = _resolve_out(args, "sensitivity_results.{fmt}")
+    path, fmt = _resolve_out(args, "sensitivity_results.csv")
     _, code = _sweep_table(run, groups, path, fmt, {"mu_gamma_values": mus})
     return code
 
@@ -456,9 +457,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ssd", help="optimal n per site count, as a table")
+    p = sub.add_parser("ssd", help="optimal n per site count, as a table",
+                       epilog=_TABLE_HELP)
     _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
     p.add_argument("--m", metavar="SPEC",
                    help="site counts, e.g. '8', '3,5,8' or '3..17'")
     p.set_defaults(func=cmd_ssd)
@@ -471,9 +472,8 @@ def build_parser():
     p.set_defaults(func=cmd_predictive)
 
     p = sub.add_parser("sensitivity",
-                       help="ssd tables across design-prior locations")
+                       help="ssd tables across design-prior locations", epilog=_TABLE_HELP)
     _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
     p.add_argument("--m", metavar="SPEC", help="site counts, as for ssd")
     p.add_argument("--mu-gamma", type=float, nargs="+", required=True,
                    help="design prior locations to sweep")

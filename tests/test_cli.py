@@ -72,12 +72,24 @@ def test_ssd_runs_are_deterministic(tmp_path, config_path):
 
 def test_ssd_json_output(tmp_path, config_path):
     out = tmp_path / "results.json"
-    code = main(["ssd", "--config", str(config_path), "--out", str(out),
-                 "--format", "json"])
+    code = main(["ssd", "--config", str(config_path), "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["results"][0]["m"] == 8
     assert payload["meta"]["t_count"] == 1500
+    assert json.loads((tmp_path / "results.json.meta.json").read_text()) == payload["meta"]
+
+
+def test_table_format_follows_the_out_name(tmp_path, config_path, monkeypatch):
+    # only a .json path gives JSON; the default path and any other name give CSV
+    monkeypatch.chdir(tmp_path)
+    argv = ["sensitivity", "--config", str(config_path), "--mu-gamma", "0.2"]
+    for out in ([], ["--out", "table.txt"], ["--out", "table.json"]):
+        assert main(argv + out) == 0
+    for name in ("sensitivity_results.csv", "table.txt"):
+        assert read_results_csv(tmp_path / name)[0]["mu_gamma"] == 0.2
+        assert (tmp_path / f"{name}.meta.json").is_file()
+    assert json.loads((tmp_path / "table.json").read_text())["results"][0]["mu_gamma"] == 0.2
 
 
 def _old_format_cell(value):
@@ -255,7 +267,7 @@ def _result(row):
     # an infinite sigma, and one whose square underflows so that Q is infinite
     ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "inf"],
     ["analyze", "--data", "{good_csv}", "--n", "50", "--sigma", "1e-200"],
-    # there is no output object: --out and --format choose where and how to write
+    # there is no output object: --out chooses where and how to write
     ["ssd", "--override", "output.format=json"],
     ["predictive", "--n", "80", "--m", "8", "--override", "output.format=xml"],
     ["analyze", "--data", "{good_csv}", "--n", "50", "--override", "output.format=xml"],
@@ -306,7 +318,10 @@ def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
 @pytest.mark.parametrize("argv", [
     ["predictive", "--n", "80", "--m", "8"],
     ["analyze", "--data", "{good_csv}", "--n", "50"],
-], ids=["predictive", "analyze"])
+    # no subcommand takes --format: a table's format follows its --out name
+    ["ssd"],
+    ["sensitivity", "--mu-gamma", "0.2"],
+], ids=["predictive", "analyze", "ssd", "sensitivity"])
 def test_format_is_a_usage_error_where_no_table_is_written(argv, tmp_path, config_path,
                                                            capsys):
     good_csv = tmp_path / "good.csv"

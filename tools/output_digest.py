@@ -50,13 +50,12 @@ PREDICTIVE_SIZES = ["--override", "s=2000", "--override", "t_count=5000"]
 # (output name, argv after the config arguments)
 RUNS = [
     ("ssd.csv", ["ssd", "--out", "{out}"]),
-    ("ssd.json", ["ssd", "--format", "json", "--out", "{out}"]),
+    ("ssd.json", ["ssd", "--out", "{out}"]),
     ("ssd_unconditional.csv", ["ssd", "--override", "target.mode=unconditional",
                                "--out", "{out}"]),
     ("sensitivity.csv", ["sensitivity", "--mu-gamma", "0.15", "0.3",
                          "--out", "{out}"]),
-    ("sensitivity.json", ["sensitivity", "--mu-gamma", "0.15", "0.3", "--format", "json",
-                          "--out", "{out}"]),
+    ("sensitivity.json", ["sensitivity", "--mu-gamma", "0.15", "0.3", "--out", "{out}"]),
     # design priors far from 0: n* 4 and 3 at mu 1 (halving stops at n = 2),
     # 1 at mu 3 (halving runs down to n = 1)
     ("sensitivity_halving.csv", ["sensitivity", "--mu-gamma", "1.0", "3.0",
