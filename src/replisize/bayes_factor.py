@@ -240,9 +240,7 @@ def log_m1_quadrature(q, design, prior_dist):
     """
     from scipy import integrate
 
-    q = float(q)
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    q = _as_q_array(float(q))
     n, m = design.n, design.m
 
     def log_integrand(g):

@@ -32,6 +32,7 @@ class Thresholds:
     ``classify`` compares log BF01 against ``log_k0`` and ``log_inv_k1``:
     the logs of k0 and inv_k1, or for a pair built by ``from_log`` the log
     cutoffs themselves, whose exponentials k0 and inv_k1 may underflow to 0.
+    A log cutoff given with its value must exponentiate to exactly that value.
     """
 
     k0: float
@@ -47,6 +48,10 @@ class Thresholds:
                    log_k0, log_inv_k1)
 
     def __post_init__(self):
+        for name in ("k0", "inv_k1"):
+            value, log_value = getattr(self, name), getattr(self, "log_" + name)
+            if log_value is not None and float(np.exp(log_value)) != value:
+                raise ValueError(f"log_{name}={log_value} contradicts {name}={value}")
         if self.log_k0 is None:
             if not self.k0 > 0:
                 raise ValueError(f"k0 must be positive, got {self.k0}")

@@ -305,13 +305,16 @@ def test_negative_q_rejected(sample_10k):
     design = DesignPoint(n=10, m=4)
     for bad in (-1.0, np.nan, np.inf, -np.inf, np.float64(-1.0), np.array(-1.0),
                 np.array([1.0, np.nan]), np.array([1.0, np.inf]), np.array([1.0, -1.0])):
-        for call in (lambda q: log_m0(q, design),
-                     lambda q: log_m1_mc(q, design, sample_10k),
-                     lambda q: log_bf01(q, design, sample_10k)):
+        calls = [lambda q: log_m0(q, design),
+                 lambda q: log_m1_mc(q, design, sample_10k),
+                 lambda q: log_bf01(q, design, sample_10k)]
+        if np.ndim(bad) == 0:  # the quadrature oracle takes one q
+            calls.append(lambda q: log_m1_quadrature(q, design, ANALYSIS))
+        for call in calls:
             with pytest.raises(ValueError, match="^q must be finite and nonnegative$"):
                 call(bad)
     assert log_bf01(-0.0, design, sample_10k) == log_bf01(0.0, design, sample_10k)
-    with pytest.raises(ValueError, match="^q must be nonnegative$"):
+    with pytest.raises(ValueError, match="^q must be finite and nonnegative$"):
         log_m1_quadrature(-1.0, design, ANALYSIS)
 
 

@@ -108,6 +108,20 @@ def test_thresholds_validation():
     assert not Thresholds(k0=math.inf, inv_k1=0.2).degenerate
 
 
+def test_log_cutoffs_must_agree_with_their_values():
+    # classify reads the log cutoffs, so a pair reporting k0 = 3 while it
+    # classifies against e^5 would report cutoffs it did not use
+    for bad in [(3.0, 1 / 3, None, 5.0, None), (3.0, 1 / 3, None, None, -7.0),
+                (3.0, 1 / 3, 0.05, math.log(3.0), math.nan)]:
+        with pytest.raises(ValueError, match="contradicts"):
+            Thresholds(*bad)
+    # every from_log pair agrees by construction, an underflowed k0 and an
+    # infinite one included
+    for log_k0, log_inv_k1 in [(math.log(3.0), -1.1), (-800.0, -1.0), (math.inf, -1.5)]:
+        th = Thresholds.from_log(log_k0, log_inv_k1, 0.05)
+        assert Thresholds(th.k0, th.inv_k1, 0.05, log_k0, log_inv_k1) == th
+
+
 def test_nearest_rank_on_small_sample():
     values = np.log([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
     # M0: ceil(0.25 * 10) = 3rd order statistic

@@ -1,5 +1,6 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from replisize import ssd
 from replisize.bayes_factor import log_bf01
 from replisize.distributions import FoldedT, HalfT
-from replisize.evidence import _nearest_rank
+from replisize.cli import read_results_csv
+from replisize.evidence import EvidenceProbs, Thresholds, _nearest_rank
 from replisize.model import DesignPoint
 from replisize.predictive import (
     DesignPriorSample,
@@ -22,6 +24,7 @@ from replisize.seeding import STREAM_SWEEP, derive_seed
 from replisize.ssd import (
     RESULT_COLUMNS,
     CostSpec,
+    GapEval,
     InfeasibleTargetError,
     N_MAX,
     Priors,
@@ -397,6 +400,69 @@ def test_search_evaluates_as_the_reference_loop(monkeypatch, target, design, m, 
 
     assert got == _search_outcome(reference_result)
     assert searched[0].order == reference.order
+
+
+class _QSpaceEvaluator(ssd._GapEvaluator):
+    """A _GapEvaluator that classifies in q space: each cutoff is log BF01 at
+    an order statistic of Q (ssd module docstring), one one-row kernel call
+    each, and every count is a count of q draws beyond those order statistics,
+    turned into probabilities by classify's own arithmetic."""
+
+    def _evaluate(self, n):
+        design = DesignPoint(n=n, m=self.m)
+        target, t = self.target, self.q0.size
+        q1 = q1_from_q0(self.q0, n, self.prior_d.gammas)
+        q_star = np.sort(self.q0)[-_nearest_rank(target.alpha, t)]
+        log_inv_k1 = log_bf01(q_star, design, self.prior_a)
+        q_k0, log_k0 = -math.inf, math.inf  # conditional: k0 left at infinity
+        if target.mode == "unconditional":
+            q_k0 = np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)]
+            log_k0 = log_bf01(q_k0, design, self.prior_a)
+        lo, hi = min(q_k0, q_star), max(q_k0, q_star)
+        c0, m0 = np.count_nonzero(self.q0 < lo), np.count_nonzero(self.q0 > hi)
+        c1, m1 = np.count_nonzero(q1 > hi), np.count_nonzero(q1 < lo)
+        pi0, pi1 = target.pi0, 1.0 - target.pi0
+        p0_c, p0_m, p0_u = c0 / t, m0 / t, (t - c0 - m0) / t
+        p1_c, p1_m, p1_u = c1 / t, m1 / t, (t - m1 - c1) / t
+        probs = EvidenceProbs(
+            p0_c=p0_c, p0_m=p0_m, p0_u=p0_u, p1_c=p1_c, p1_m=p1_m, p1_u=p1_u,
+            p_c=pi0 * p0_c + pi1 * p1_c, p_m=pi0 * p0_m + pi1 * p1_m,
+            p_u=pi0 * p0_u + pi1 * p1_u, pi0=pi0, t_count=t)
+        achieved = p1_c if target.mode == "conditional" else probs.p_c
+        return GapEval(n, achieved - target.power,
+                       Thresholds.from_log(log_k0, log_inv_k1, target.alpha), probs)
+
+
+# The paper-default tables, written by
+# ``replisize ssd --paper-defaults --m 3..17 [--override target.mode=unconditional]``
+# while every search classified kernel log BF01 samples (two T x S passes per n)
+PAPER_TABLES = Path(__file__).parent / "data"
+PAPER_SIZES = SimSizes(s=10_000, t_count=50_000)
+PAPER_SEED = 1729
+
+
+def _paper_table(mode):
+    return read_results_csv(PAPER_TABLES / f"paper_table_{mode}.csv")
+
+
+@pytest.mark.parametrize("target", [COND, UNCOND], ids=["conditional", "unconditional"])
+def test_paper_table_is_reproduced_in_q_space(monkeypatch, target):
+    # every column, evaluations included: the q-space search takes the
+    # kernel search's path at paper scale, without a T x S pass
+    monkeypatch.setattr(ssd, "_GapEvaluator", _QSpaceEvaluator)
+    results = sweep_m(range(3, 18), target, PRIORS, PAPER_SIZES, PAPER_SEED)
+    assert [result_to_row(r) for r in results] == _paper_table(target.mode)
+
+
+def test_kernel_evaluation_matches_the_paper_table():
+    # one kernel evaluation at paper scale, at the table's last n*
+    row = _paper_table("conditional")[-1]
+    assert (row["m"], row["n_star"]) == (17, 49)
+    found = ssd._GapEvaluator(17, COND, PRIORS, PAPER_SIZES, row["seed"])(49)
+    result = SsdResult(m=17, n_star=49, thresholds=found.thresholds, probs=found.probs,
+                       evaluations=row["evaluations"], seed=row["seed"])
+    assert row["seed"] == derive_seed(PAPER_SEED, STREAM_SWEEP, 17)
+    assert result_to_row(result) == row
 
 
 @pytest.mark.parametrize("target", [COND, UNCOND])

@@ -33,8 +33,11 @@ won, and whether both sides printed the same stdout.
 
 For both trees it also records the ``src/`` line count, the wall time of
 the tier-1 suite and the wall time of ``replisize ssd --paper-defaults
---m 3..17``.  This takes about an hour and a half on two cores.  Run
-nothing else meanwhile: every timing here shares the machine.
+--m 3..17``, with whether that table equals
+``tests/data/paper_table_conditional.csv`` byte for byte: the paper-scale
+check of the kernel search that the tier-1 suite cannot afford.  This
+takes about an hour and a half on two cores.  Run nothing else
+meanwhile: every timing here shares the machine.
 """
 
 import argparse
@@ -54,6 +57,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 CLI = [sys.executable, "-c", "import sys; from replisize.cli import main; sys.exit(main())"]
 SSD_TABLE = CLI + ["ssd", "--paper-defaults", "--m", "3..17"]
 ANALYZE = CLI + ["analyze", "--paper-defaults", "--n", "80", "--data"]
+PAPER_TABLE = ROOT / "tests" / "data" / "paper_table_conditional.csv"
 SITES = "t\n0.11\n0.39\n0.25\n0.20\n0.31\n"
 
 
@@ -239,8 +243,11 @@ def main(argv=None):
             record["tier1_suite"][side] = timed(TIER1, tree, cwd=tree)
             work = Path(tmp) / f"table-{side}"
             work.mkdir()
+            table = work / "table.csv"
             record["ssd_paper_table"][side] = timed(
-                SSD_TABLE + ["--out", str(work / "table.csv")], tree, cwd=work)
+                SSD_TABLE + ["--out", str(table)], tree, cwd=work)
+            record["ssd_paper_table"][side]["matches_reference"] = (
+                table.is_file() and table.read_bytes() == PAPER_TABLE.read_bytes())
             print(f"{side}: tier-1 {record['tier1_suite'][side]}, "
                   f"ssd table {record['ssd_paper_table'][side]}", file=sys.stderr)
 
