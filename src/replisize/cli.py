@@ -279,31 +279,23 @@ def _sidecar(run, wall_time_ms, extra=None):
     return meta
 
 
-def _resolve_out(args, default_name):
-    path = Path(args.out or default_name)
-    return path, "json" if path.suffix == ".json" else "csv"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_sweep(run, design_prior):
-    priors = Priors(analysis=run.analysis_prior, design=design_prior)
-    sizes = SimSizes(s=run.s, t_count=run.t_count)
-    return sweep_m(run.m_values, run.target, priors, sizes, run.seed,
-                   workers=run.workers)
-
-
-def _sweep_table(run, groups, path, fmt, extra):
+def _sweep_table(run, groups, path, extra):
     """One sweep over ``run.m_values`` per (leading columns, design prior)
-    group; writes the stacked rows and their sidecar.  Returns the results
+    group; writes the stacked rows to ``path``, as JSON when it ends in
+    .json and as CSV otherwise, and their sidecar.  Returns the results
     and the exit code, 1 if some group left a requested m infeasible."""
+    path = Path(path)
+    sizes = SimSizes(run.s, run.t_count)
     rows, results, errors = [], [], []
     started = time.perf_counter()
     for lead, prior in groups:
         where = "".join(f"{key}={value!r}, " for key, value in lead.items())
         log.info("sweeping %sm in %s", where, sorted(set(run.m_values)))
-        found = _run_sweep(run, prior)
+        found = sweep_m(run.m_values, run.target, Priors(run.analysis_prior, prior),
+                        sizes, run.seed, workers=run.workers)
         rows += [{**lead, **result_to_row(r)} for r in found]
         results += found
         missing = sorted(set(run.m_values) - {r.m for r in found})
@@ -311,10 +303,10 @@ def _sweep_table(run, groups, path, fmt, extra):
             errors.append(f"error: target infeasible for {where}m in {missing}")
     wall_ms = int((time.perf_counter() - started) * 1000)
     meta = _sidecar(run, wall_ms, extra)
-    if fmt == "csv":
-        write_results_csv(rows, [*groups[0][0], *RESULT_COLUMNS], path)
-    else:
+    if path.suffix == ".json":
         _write_json({"results": rows, "meta": meta}, path)
+    else:
+        write_results_csv(rows, [*groups[0][0], *RESULT_COLUMNS], path)
     _write_json(meta, str(path) + ".meta.json")
     print(f"wrote {len(rows)} rows to {path}")
     for error in errors:
@@ -324,8 +316,8 @@ def _sweep_table(run, groups, path, fmt, extra):
 
 def cmd_ssd(args):
     run = resolve_config(args, need=("design_prior", "t_count", "m_values", "target"))
-    path, fmt = _resolve_out(args, "ssd_results.csv")
-    results, code = _sweep_table(run, [({}, run.design_prior)], path, fmt,
+    results, code = _sweep_table(run, [({}, run.design_prior)],
+                                 args.out or "ssd_results.csv",
                                  {"target": asdict(run.target)})
     for row in map(result_to_row, results):
         k0 = "" if row["k0"] is None else f"  k0={row['k0']:.3f}"
@@ -384,8 +376,8 @@ def cmd_sensitivity(args):
     # every location is checked before the first sweep
     groups = [({"mu_gamma": mu}, _parse("mu_gamma", FoldedT, base.nu, mu, base.sigma))
               for mu in mus]
-    path, fmt = _resolve_out(args, "sensitivity_results.csv")
-    _, code = _sweep_table(run, groups, path, fmt, {"mu_gamma_values": mus})
+    _, code = _sweep_table(run, groups, args.out or "sensitivity_results.csv",
+                           {"mu_gamma_values": mus})
     return code
 
 

@@ -47,6 +47,21 @@ def config_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The design prior of each ``sweep_m`` call the CLI makes, in order."""
+    calls = []
+    real_sweep = cli.sweep_m
+
+    def sweep_m(m_values, target, priors, sim_sizes, master_seed, *, workers):
+        calls.append(priors.design)
+        return real_sweep(m_values, target, priors, sim_sizes, master_seed,
+                          workers=workers)
+
+    monkeypatch.setattr(cli, "sweep_m", sweep_m)
+    return calls
+
+
 def test_ssd_writes_table_and_sidecar(tmp_path, config_path, capsys):
     out = tmp_path / "results.csv"
     code = main(["ssd", "--config", str(config_path), "--out", str(out)])
@@ -295,16 +310,14 @@ def _result(row):
         "analyze-output-path", "workers-above-cpu-count", "analysis-prior-nu-tiny",
         "config-not-found", "config-top-level-list", "override-through-list",
         "m-empty-range", "m-values-not-a-list"])
-def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path,
-                                             monkeypatch, capsys):
+def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path, sweeps,
+                                             capsys):
     bad_csv = tmp_path / "sites.csv"
     bad_csv.write_text("t\n0.1\nabc\n0.3\n")
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("t\n0.11\n0.39\n0.25\n0.2\n")
     list_json = tmp_path / "list.json"
     list_json.write_text(json.dumps([SMALL_CONFIG]))
-    sweeps = []
-    monkeypatch.setattr("replisize.cli._run_sweep", lambda *a, **k: sweeps.append(a))
     argv = [arg.format(bad_csv=bad_csv, good_csv=good_csv, list_json=list_json,
                        missing_json=tmp_path / "missing.json") for arg in argv]
     code = main(argv[:1] + ["--config", str(config_path),
@@ -406,12 +419,8 @@ def test_sensitivity_stacks_locations(tmp_path, config_path):
     assert rows[0]["n_star"] > rows[1]["n_star"]  # smaller location is harder
 
 
-def test_sensitivity_sweeps_each_distinct_location_once(tmp_path, config_path,
-                                                       monkeypatch, capsys):
-    sweeps = []
-    real_sweep = cli._run_sweep
-    monkeypatch.setattr(cli, "_run_sweep",
-                        lambda *a, **k: sweeps.append(a) or real_sweep(*a, **k))
+def test_sensitivity_sweeps_each_distinct_location_once(tmp_path, config_path, sweeps,
+                                                       capsys):
     out = tmp_path / "sens.csv"
     code = main(["sensitivity", "--config", str(config_path), "--m", "8,8",
                  "--mu-gamma", "0.2", "0.2", "--out", str(out)])
