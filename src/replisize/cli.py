@@ -288,6 +288,9 @@ def _sweep_table(run, groups, path, extra):
     .json and as CSV otherwise, and their sidecar.  Returns the results
     and the exit code, 1 if some group left a requested m infeasible."""
     path = Path(path)
+    sidecar = f"{path}.meta.json"
+    for out in (path, sidecar):  # an unwritable path fails before the search
+        open(out, "a").close()
     sizes = SimSizes(run.s, run.t_count)
     rows, results, errors = [], [], []
     started = time.perf_counter()
@@ -307,7 +310,7 @@ def _sweep_table(run, groups, path, extra):
         _write_json({"results": rows, "meta": meta}, path)
     else:
         write_results_csv(rows, [*groups[0][0], *RESULT_COLUMNS], path)
-    _write_json(meta, str(path) + ".meta.json")
+    _write_json(meta, sidecar)
     print(f"wrote {len(rows)} rows to {path}")
     for error in errors:
         print(error, file=sys.stderr)
@@ -333,6 +336,8 @@ def cmd_ssd(args):
 def cmd_predictive(args):
     run = resolve_config(args, need=("design_prior", "t_count"))
     design = _parse("design", DesignPoint, args.n, args.sites)
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     prior_d = DesignPriorSample.draw(run.design_prior, run.t_count, run.seed)
@@ -342,8 +347,6 @@ def cmd_predictive(args):
                              workers=run.workers)
     wall_ms = int((time.perf_counter() - started) * 1000)
 
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     priors_meta = _sidecar(run, wall_ms)["priors"]
     stem = f"n{design.n}_m{design.m}"
     for sample, name in ((sample0, "m0"), (sample1, "m1")):

@@ -24,10 +24,10 @@ PROB_NAMES = ("p0_c", "p0_m", "p0_u", "p1_c", "p1_m", "p1_u", "p_c", "p_m", "p_u
 class Thresholds:
     """Evidence cutoffs: k0 favours M0, inv_k1 (= 1/k1) favours M1.
 
-    ``alpha`` is the error rate the pair was derived from via predictive
-    quantiles, or None for a pair fixed directly.  A fixed pair must leave
-    an undetermined region (inv_k1 < k0); a derived pair may overlap, and
-    ``classify`` then leaves the overlap undetermined.
+    ``alpha`` is the error rate in (0, 0.5) the pair was derived from via
+    predictive quantiles, or None for a pair fixed directly.  A fixed pair
+    must leave an undetermined region (inv_k1 < k0); a derived pair may
+    overlap, and ``classify`` then leaves the overlap undetermined.
 
     ``classify`` compares log BF01 against ``log_k0`` and ``log_inv_k1``:
     the logs of k0 and inv_k1, or for a pair built by ``from_log`` the log
@@ -48,6 +48,8 @@ class Thresholds:
                    log_k0, log_inv_k1)
 
     def __post_init__(self):
+        if self.alpha is not None and not 0.0 < self.alpha < 0.5:
+            raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         for name in ("k0", "inv_k1"):
             value, log_value = getattr(self, name), getattr(self, "log_" + name)
             if log_value is not None and float(np.exp(log_value)) != value:

@@ -189,11 +189,24 @@ def test_no_config_source_exits_2(capsys):
     assert "config" in capsys.readouterr().err
 
 
-def test_unwritable_output_exits_3(config_path, capsys):
-    code = main(["ssd", "--config", str(config_path),
-                 "--out", "/nonexistent-dir/results.csv"])
-    assert code == 3
+def test_unwritable_output_exits_3(tmp_path, config_path, sweeps, monkeypatch, capsys):
+    # the table and its sidecar are opened before the first search
+    (tmp_path / "a-dir").mkdir()
+    for command in (["ssd"], ["sensitivity", "--mu-gamma", "0.2"]):
+        for out in ("missing-dir/results.csv", "a-dir"):
+            code = main(command + ["--config", str(config_path),
+                                   "--out", str(tmp_path / out)])
+            assert code == 3, (command, out)
+            assert "i/o error" in capsys.readouterr().err
+    assert sweeps == []
+    # and predictive's directory is made before the first simulation
+    simulations = []
+    monkeypatch.setattr(cli, "simulate_bf_m0", lambda *a, **k: simulations.append(a))
+    (tmp_path / "a-file").write_text("")
+    assert main(["predictive", "--config", str(config_path), "--n", "80", "--m", "8",
+                 "--out", str(tmp_path / "a-file" / "sub")]) == 3
     assert "i/o error" in capsys.readouterr().err
+    assert simulations == []
 
 
 def test_infeasible_target_exits_1(tmp_path, config_path, capsys):

@@ -108,6 +108,16 @@ def test_thresholds_validation():
     assert not Thresholds(k0=math.inf, inv_k1=0.2).degenerate
 
 
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, 0.5, 5.0, -1.0])
+def test_thresholds_alpha_outside_the_open_interval_rejected(alpha):
+    # a NaN alpha would also skip the degenerate check and reach the JSON
+    # report as NaN
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 0\.5\), got "):
+        Thresholds(3.0, 1 / 3, alpha)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 0\.5\), got "):
+        Thresholds.from_log(math.log(3.0), math.log(1 / 3), alpha)
+
+
 def test_log_cutoffs_must_agree_with_their_values():
     # classify reads the log cutoffs, so a pair reporting k0 = 3 while it
     # classifies against e^5 would report cutoffs it did not use
