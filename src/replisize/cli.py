@@ -31,7 +31,7 @@ from .distributions import FoldedT, _number, prior_from_dict, prior_to_dict
 from .evidence import Thresholds, classify, probs_to_dict
 from .model import DesignPoint, compute_q, load_effect_sizes
 from .predictive import DesignPriorSample, save_logbf_csv, simulate_bf_m0, simulate_bf_m1
-from .predictive import _write_json
+from .predictive import _meta_path, _write_json
 from .ssd import (
     RESULT_COLUMNS,
     CostSpec,
@@ -279,6 +279,12 @@ def _sidecar(run, wall_time_ms, extra=None):
     return meta
 
 
+def _claim(*paths):
+    """Open each output for appending, so an unwritable one fails before any draw."""
+    for path in paths:
+        open(path, "a").close()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -288,9 +294,8 @@ def _sweep_table(run, groups, path, extra):
     .json and as CSV otherwise, and their sidecar.  Returns the results
     and the exit code, 1 if some group left a requested m infeasible."""
     path = Path(path)
-    sidecar = f"{path}.meta.json"
-    for out in (path, sidecar):  # an unwritable path fails before the search
-        open(out, "a").close()
+    sidecar = _meta_path(path)
+    _claim(path, sidecar)
     sizes = SimSizes(run.s, run.t_count)
     rows, results, errors = [], [], []
     started = time.perf_counter()
@@ -337,7 +342,11 @@ def cmd_predictive(args):
     run = resolve_config(args, need=("design_prior", "t_count"))
     design = _parse("design", DesignPoint, args.n, args.sites)
     out_dir = Path(args.out or ".")
+    stem = f"n{design.n}_m{design.m}"
+    csvs = [out_dir / f"bf_{model}_{stem}.csv" for model in ("m0", "m1")]
+    summary_path = out_dir / f"summary_{stem}.json"
     out_dir.mkdir(parents=True, exist_ok=True)
+    _claim(*csvs, *map(_meta_path, csvs), summary_path)
     started = time.perf_counter()
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     prior_d = DesignPriorSample.draw(run.design_prior, run.t_count, run.seed)
@@ -348,10 +357,8 @@ def cmd_predictive(args):
     wall_ms = int((time.perf_counter() - started) * 1000)
 
     priors_meta = _sidecar(run, wall_ms)["priors"]
-    stem = f"n{design.n}_m{design.m}"
-    for sample, name in ((sample0, "m0"), (sample1, "m1")):
-        save_logbf_csv(sample, out_dir / f"bf_{name}_{stem}.csv",
-                       priors=priors_meta, wall_time_ms=wall_ms)
+    for sample, path in zip((sample0, sample1), csvs):
+        save_logbf_csv(sample, path, priors=priors_meta, wall_time_ms=wall_ms)
 
     # moderate-evidence cutoffs give the headline operating characteristics
     th = Thresholds(k0=3.0, inv_k1=1.0 / 3.0)
@@ -362,12 +369,12 @@ def cmd_predictive(args):
         "s": run.s,
         "t_count": run.t_count,
         "seed": run.seed,
-        "files": [f"bf_m0_{stem}.csv", f"bf_m1_{stem}.csv"],
+        "files": [path.name for path in csvs],
         "probs_at_k3": probs_to_dict(probs, th),
         "wall_time_ms": wall_ms,
         "version": __version__,
     }
-    _write_json(summary, out_dir / f"summary_{stem}.json")
+    _write_json(summary, summary_path)
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -405,6 +412,8 @@ def cmd_analyze(args):
     t = _parse("data", load_effect_sizes, args.data)
     design = _parse("design", DesignPoint, args.n, t.size)
     q = _parse("sigma", compute_q, t, args.n, args.sigma)
+    if args.out:
+        _claim(args.out)
     prior_a = AnalysisPriorSample.draw(run.analysis_prior, run.s, run.seed)
     log_bf = log_bf01(q, design, prior_a)
     try:

@@ -115,7 +115,6 @@ def save_logbf_csv(sample, path, *, priors=None, wall_time_ms=None):
     the same seed produces byte-identical files.  The sidecar lands at
     ``path + '.meta.json'``.
     """
-    path = str(path)
     with open(path, "w", newline="") as fh:
         fh.write("log_bf01\n")
         for v in sample.values:
@@ -131,7 +130,12 @@ def save_logbf_csv(sample, path, *, priors=None, wall_time_ms=None):
         "wall_time_ms": wall_time_ms,
         "version": __version__,
     }
-    _write_json(meta, path + ".meta.json")
+    _write_json(meta, _meta_path(path))
+
+
+def _meta_path(path):
+    """Where the JSON metadata sidecar of the output ``path`` lands."""
+    return f"{path}.meta.json"
 
 
 def _write_json(payload, path):
@@ -143,9 +147,8 @@ def _write_json(payload, path):
 
 def load_logbf_csv(path):
     """Read back a sample written by save_logbf_csv (values + sidecar)."""
-    path = str(path)
     values = np.loadtxt(path, skiprows=1, dtype=float, ndmin=1)
-    with open(path + ".meta.json") as fh:
+    with open(_meta_path(path)) as fh:
         meta = json.load(fh)
     if values.size != meta["t_count"]:
         raise ValueError(f"{path}: sidecar says t_count={meta['t_count']} "

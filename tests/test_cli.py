@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,7 +191,8 @@ def test_no_config_source_exits_2(capsys):
 
 
 def test_unwritable_output_exits_3(tmp_path, config_path, sweeps, monkeypatch, capsys):
-    # the table and its sidecar are opened before the first search
+    # every output file is opened before the first draw: the table and its
+    # sidecar before the first search
     (tmp_path / "a-dir").mkdir()
     for command in (["ssd"], ["sensitivity", "--mu-gamma", "0.2"]):
         for out in ("missing-dir/results.csv", "a-dir"):
@@ -206,7 +208,47 @@ def test_unwritable_output_exits_3(tmp_path, config_path, sweeps, monkeypatch, c
     assert main(["predictive", "--config", str(config_path), "--n", "80", "--m", "8",
                  "--out", str(tmp_path / "a-file" / "sub")]) == 3
     assert "i/o error" in capsys.readouterr().err
+    # and its sample CSVs and summary before the first simulation
+    for name in ("bf_m0_n80_m8.csv", "summary_n80_m8.json"):
+        out = tmp_path / f"pred-{name}"
+        (out / name).mkdir(parents=True)
+        assert main(["predictive", "--config", str(config_path), "--n", "80", "--m", "8",
+                     "--out", str(out)]) == 3, name
+        assert "i/o error" in capsys.readouterr().err
     assert simulations == []
+    # analyze's report before its kernel call
+    kernel_calls = []
+    monkeypatch.setattr(cli, "log_bf01", lambda *a, **k: kernel_calls.append(a))
+    data = tmp_path / "sites.csv"
+    data.write_text("t\n0.11\n0.39\n0.25\n0.2\n")
+    assert main(["analyze", "--config", str(config_path), "--data", str(data), "--n", "50",
+                 "--out", str(tmp_path / "missing-dir" / "report.json")]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert kernel_calls == []
+
+
+def test_rerun_over_longer_outputs_leaves_no_stale_bytes(tmp_path, config_path):
+    # each output is claimed in append mode before the work and truncated
+    # by its write, so a rerun over longer files writes the first run's bytes
+    data = tmp_path / "sites.csv"
+    data.write_text("t\n0.11\n0.39\n0.25\n0.2\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = [["ssd", "--out", str(out / "ssd.csv")],
+            ["predictive", "--n", "40", "--m", "6", "--out", str(out / "pred")],
+            ["analyze", "--data", str(data), "--n", "50", "--out", str(out / "report.json")]]
+
+    def run_all():
+        for argv in runs:
+            assert main(argv + ["--config", str(config_path)]) == 0, argv
+        return {path: re.sub(rb'"wall_time_ms": \d+', b'"wall_time_ms": 0', path.read_bytes())
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    first = run_all()
+    assert len(first) == 8  # table, report, two samples, three sidecars, summary
+    for path in first:
+        path.write_bytes(b"junk\n" * (path.stat().st_size + 1))
+    assert run_all() == first
 
 
 def test_infeasible_target_exits_1(tmp_path, config_path, capsys):
