@@ -214,7 +214,9 @@ def _validate_config(cfg, need):
     if values is not None:
         if not isinstance(values, list) or not values:
             raise ConfigError("m_values must be a non-empty list of integers")
-        run.m_values = [_int_at_least("m_values", m, 3) for m in values]
+        # DesignPoint bounds m from above
+        run.m_values = [_parse("m_values", DesignPoint, 1, _int_at_least("m_values", m, 3)).m
+                        for m in values]
     spec = cfg.get("target")
     if spec is not None:
         run.target = _parse("target", lambda: SsdTarget(

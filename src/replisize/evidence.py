@@ -89,9 +89,20 @@ class EvidenceProbs:
     pi0: float
     t_count: int
 
+    @classmethod
+    def from_counts(cls, correct0, misleading0, correct1, misleading1, t_count, pi0):
+        """Probabilities of the draws counted as correct and misleading under
+        M0 and M1, out of ``t_count`` draws each; the rest are undetermined."""
+        t, pi1 = t_count, 1.0 - pi0
+        p0_c, p0_m, p0_u = correct0 / t, misleading0 / t, (t - correct0 - misleading0) / t
+        p1_c, p1_m, p1_u = correct1 / t, misleading1 / t, (t - misleading1 - correct1) / t
+        return cls(p0_c=p0_c, p0_m=p0_m, p0_u=p0_u, p1_c=p1_c, p1_m=p1_m, p1_u=p1_u,
+                   p_c=pi0 * p0_c + pi1 * p1_c, p_m=pi0 * p0_m + pi1 * p1_m,
+                   p_u=pi0 * p0_u + pi1 * p1_u, pi0=pi0, t_count=t)
+
 
 def classify(sample_m0, sample_m1, th, pi0):
-    """Empirical evidence probabilities of two predictive samples.
+    """Empirical evidence probabilities of two equal-size predictive samples.
 
     Cutoffs are compared strictly, so a draw exactly equal to either
     threshold counts as undetermined.  ``pi0`` weights the overall triple;
@@ -107,31 +118,20 @@ def classify(sample_m0, sample_m1, th, pi0):
             f"design mismatch: {sample_m0.design} vs {sample_m1.design}")
     if sample_m0.model != "M0" or sample_m1.model != "M1":
         raise ValueError("classify expects an M0 sample and an M1 sample, in that order")
+    if sample_m0.t_count != sample_m1.t_count:
+        raise ValueError(f"sample size mismatch: {sample_m0.t_count} M0 draws "
+                         f"vs {sample_m1.t_count} M1 draws")
     if not 0.0 <= pi0 <= 1.0:
         raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
 
     log_hi = max(th.log_k0, th.log_inv_k1)
     log_lo = min(th.log_k0, th.log_inv_k1)
 
-    def shares(values):
-        """Shares of draws above, below and between the cutoffs."""
-        t = values.size
-        above = int(np.count_nonzero(values > log_hi))
-        below = int(np.count_nonzero(values < log_lo))
-        return above / t, below / t, (t - above - below) / t
-
-    p0_c, p0_m, p0_u = shares(sample_m0.values)
-    p1_m, p1_c, p1_u = shares(sample_m1.values)
-    pi1 = 1.0 - pi0
-    return EvidenceProbs(
-        p0_c=p0_c, p0_m=p0_m, p0_u=p0_u,
-        p1_c=p1_c, p1_m=p1_m, p1_u=p1_u,
-        p_c=pi0 * p0_c + pi1 * p1_c,
-        p_m=pi0 * p0_m + pi1 * p1_m,
-        p_u=pi0 * p0_u + pi1 * p1_u,
-        pi0=pi0,
-        t_count=sample_m0.t_count,
-    )
+    lb0, lb1 = sample_m0.values, sample_m1.values
+    return EvidenceProbs.from_counts(
+        int(np.count_nonzero(lb0 > log_hi)), int(np.count_nonzero(lb0 < log_lo)),
+        int(np.count_nonzero(lb1 < log_lo)), int(np.count_nonzero(lb1 > log_hi)),
+        sample_m0.t_count, pi0)
 
 
 def _nearest_rank(p, t):

@@ -29,10 +29,11 @@ class DesignPoint:
     m: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m}")
+        # the kernel computes in float64, which holds every integer below 2**53
+        if int(self.n) != self.n or not 1 <= self.n < 2**53:
+            raise ValueError(f"n must be an integer in [1, 2**53), got {self.n}")
+        if int(self.m) != self.m or not 2 <= self.m < 2**53:
+            raise ValueError(f"m must be an integer in [2, 2**53), got {self.m}")
 
 
 def _check_sigma(sigma):

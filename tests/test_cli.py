@@ -353,6 +353,10 @@ def _result(row):
     ["ssd", "--override", "m_values.x=1"],
     ["ssd", "--m", "5..3"],
     ["ssd", "--override", "m_values=8"],
+    # designs too large for float64 to hold every integer up to them
+    ["analyze", "--data", "{good_csv}", "--n", str(2**64)],
+    ["predictive", "--n", str(10**23), "--m", "8"],
+    ["ssd", "--m", str(10**23)],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
@@ -364,7 +368,8 @@ def _result(row):
         "output-object", "predictive-output-format", "analyze-output-format",
         "analyze-output-path", "workers-above-cpu-count", "analysis-prior-nu-tiny",
         "config-not-found", "config-top-level-list", "override-through-list",
-        "m-empty-range", "m-values-not-a-list"])
+        "m-empty-range", "m-values-not-a-list", "analyze-n-too-large",
+        "predictive-n-too-large", "m-too-large"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path, sweeps,
                                              capsys):
     bad_csv = tmp_path / "sites.csv"

@@ -70,6 +70,10 @@ def test_design_mismatch_and_order_rejected(pair_80x8):
         classify(m0, other, Thresholds(3.0, 1 / 3), pi0=0.5)
     with pytest.raises(ValueError, match="in that order"):
         classify(m1, m0, Thresholds(3.0, 1 / 3), pi0=0.5)
+    # one t_count describes both samples, so their sizes must agree
+    with pytest.raises(ValueError, match="sample size mismatch"):
+        classify(_sample(np.zeros(5)), _sample(np.zeros(4), "M1"), Thresholds(3.0, 1 / 3),
+                 pi0=0.5)
 
 
 def test_pi0_outside_the_unit_interval_rejected(pair_80x8):

@@ -145,41 +145,47 @@ def test_gap_samples_equal_predictive_simulation(monkeypatch):
     assert np.array_equal(passes[1], m1.values)
 
 
-def _check_q_space_oracle(m, mu, seed, target):
+def _q_space_reading(q0, gammas, n, target):
     # log BF01 is non-increasing in q, so each alpha-calibrated cutoff is BF01
     # at an order statistic of q: 1/k1 at q*, the ceil(alpha T)-th largest q0,
-    # and k0 at the ceil((1 - alpha) T)-th largest q1(n).  Every count is then
-    # a count of q draws below lo or above hi, and a cutoff draw is never
-    # beyond its own cutoff; no kernel call is needed to find n*
+    # and k0 at q_k0, the ceil((1 - alpha) T)-th largest q1(n).  Every count is
+    # then a count of q draws below lo or above hi, and a cutoff draw is never
+    # beyond its own cutoff; no kernel call is needed for the probabilities.
+    # Returns q*, q_k0 and the EvidenceProbs at n
+    t = q0.size
+    q1 = q1_from_q0(q0, n, gammas)
+    q_star = np.sort(q0)[-_nearest_rank(target.alpha, t)]
+    q_k0 = (-math.inf if target.mode == "conditional"  # k0 left at infinity
+            else np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)])
+    lo, hi = min(q_k0, q_star), max(q_k0, q_star)
+    probs = EvidenceProbs.from_counts(
+        np.count_nonzero(q0 < lo), np.count_nonzero(q0 > hi),
+        np.count_nonzero(q1 > hi), np.count_nonzero(q1 < lo), t, target.pi0)
+    return q_star, q_k0, probs
+
+
+def _gap(probs, target):
+    # the criterion gap, taken from the probabilities as _GapEvaluator takes it
+    return (probs.p1_c if target.mode == "conditional" else probs.p_c) - target.power
+
+
+def _check_q_space_oracle(m, mu, seed, target):
+    # the search finds n* without a kernel call: the q-space reading gives the
+    # kernel evaluator's probabilities, every field of them
     priors = Priors(ANALYSIS, FoldedT(nu=4, mu=mu, sigma=1 / 55))
     sizes = SimSizes(s=600, t_count=1500)
-    t = sizes.t_count
     evaluator = ssd._GapEvaluator(m, target, priors, sizes, seed)
-    q_star = np.sort(evaluator.q0)[-_nearest_rank(target.alpha, t)]
 
     def probs(n):
-        q1 = q1_from_q0(evaluator.q0, n, evaluator.prior_d.gammas)
-        q_k0 = (-math.inf if target.mode == "conditional"  # k0 left at infinity
-                else np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)])
-        lo, hi = min(q_k0, q_star), max(q_k0, q_star)
-        p0_c = np.count_nonzero(evaluator.q0 < lo) / t
-        p0_m = np.count_nonzero(evaluator.q0 > hi) / t
-        p1_c = np.count_nonzero(q1 > hi) / t
-        p1_m = np.count_nonzero(q1 < lo) / t
-        return p0_c, p0_m, p1_c, p1_m, target.pi0 * p0_c + (1.0 - target.pi0) * p1_c
-
-    def gap(n):
-        *_, p1_c, _, p_c = probs(n)
-        return (p1_c if target.mode == "conditional" else p_c) - target.power
+        return _q_space_reading(evaluator.q0, evaluator.prior_d.gammas, n, target)[2]
 
     n_star = find_n_star(m, target, priors, sizes, master_seed=seed).n_star
-    assert gap(n_star) >= 0
-    assert all(gap(n) < 0 for n in range(1, n_star))
+    assert _gap(probs(n_star), target) >= 0
+    assert all(_gap(probs(n), target) < 0 for n in range(1, n_star))
     for n in (n_star - 1, n_star, n_star + 1, 2 * n_star):
         got = evaluator(n)
-        p = got.probs
-        assert (p.p0_c, p.p0_m, p.p1_c, p.p1_m, p.p_c) == probs(n)
-        assert got.gap == gap(n)
+        assert got.probs == probs(n)
+        assert got.gap == _gap(probs(n), target)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -237,20 +243,6 @@ def test_conditional_n_star_has_a_closed_form(m, mu, seed, alpha, power):
     assert find_n_star(m, target, priors, sizes, master_seed=seed).n_star == closed_form
 
 
-def _q_space_gap(q0, gammas, n, target):
-    # the gap from counts over sorted q, by the rule of _check_q_space_oracle
-    t = q0.size
-    q_star = np.sort(q0)[-_nearest_rank(target.alpha, t)]
-    q1 = q1_from_q0(q0, n, gammas)
-    q_k0 = (-math.inf if target.mode == "conditional"
-            else np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)])
-    lo, hi = min(q_k0, q_star), max(q_k0, q_star)
-    p0_c = np.count_nonzero(q0 < lo) / t
-    p1_c = np.count_nonzero(q1 > hi) / t
-    p_c = target.pi0 * p0_c + (1.0 - target.pi0) * p1_c
-    return (p1_c if target.mode == "conditional" else p_c) - target.power
-
-
 @settings(max_examples=400, deadline=None)
 @given(m=st.integers(3, 17), t_count=st.integers(100, 3000), seed=st.integers(0, 2**32),
        nu=st.floats(1.0, 30.0), mu=st.floats(0.0, 3.0), sigma=st.floats(1e-3, 1.0),
@@ -264,7 +256,7 @@ def test_q_space_gap_is_nondecreasing_in_n(m, t_count, seed, nu, mu, sigma, alph
     target = SsdTarget(mode, alpha=alpha, power=power, pi0=pi0)
     q0, _ = draw_q0(m, t_count, seed)
     gammas = DesignPriorSample.draw(FoldedT(nu, mu, sigma), t_count, seed).gammas
-    gaps = [_q_space_gap(q0, gammas, n, target) for n in sorted(ns)]
+    gaps = [_gap(_q_space_reading(q0, gammas, n, target)[2], target) for n in sorted(ns)]
     assert all(g1 <= g2 for g1, g2 in zip(gaps, gaps[1:]))
 
 
@@ -406,31 +398,32 @@ class _QSpaceEvaluator(ssd._GapEvaluator):
     """A _GapEvaluator that classifies in q space: each cutoff is log BF01 at
     an order statistic of Q (ssd module docstring), one one-row kernel call
     each, and every count is a count of q draws beyond those order statistics,
-    turned into probabilities by classify's own arithmetic."""
+    turned into probabilities by EvidenceProbs.from_counts, as classify does."""
 
     def _evaluate(self, n):
         design = DesignPoint(n=n, m=self.m)
-        target, t = self.target, self.q0.size
-        q1 = q1_from_q0(self.q0, n, self.prior_d.gammas)
-        q_star = np.sort(self.q0)[-_nearest_rank(target.alpha, t)]
+        target = self.target
+        q_star, q_k0, probs = _q_space_reading(self.q0, self.prior_d.gammas, n, target)
         log_inv_k1 = log_bf01(q_star, design, self.prior_a)
-        q_k0, log_k0 = -math.inf, math.inf  # conditional: k0 left at infinity
-        if target.mode == "unconditional":
-            q_k0 = np.sort(q1)[-_nearest_rank(1.0 - target.alpha, t)]
-            log_k0 = log_bf01(q_k0, design, self.prior_a)
-        lo, hi = min(q_k0, q_star), max(q_k0, q_star)
-        c0, m0 = np.count_nonzero(self.q0 < lo), np.count_nonzero(self.q0 > hi)
-        c1, m1 = np.count_nonzero(q1 > hi), np.count_nonzero(q1 < lo)
-        pi0, pi1 = target.pi0, 1.0 - target.pi0
-        p0_c, p0_m, p0_u = c0 / t, m0 / t, (t - c0 - m0) / t
-        p1_c, p1_m, p1_u = c1 / t, m1 / t, (t - m1 - c1) / t
-        probs = EvidenceProbs(
-            p0_c=p0_c, p0_m=p0_m, p0_u=p0_u, p1_c=p1_c, p1_m=p1_m, p1_u=p1_u,
-            p_c=pi0 * p0_c + pi1 * p1_c, p_m=pi0 * p0_m + pi1 * p1_m,
-            p_u=pi0 * p0_u + pi1 * p1_u, pi0=pi0, t_count=t)
-        achieved = p1_c if target.mode == "conditional" else probs.p_c
-        return GapEval(n, achieved - target.power,
+        log_k0 = (math.inf if target.mode == "conditional"
+                  else log_bf01(q_k0, design, self.prior_a))
+        return GapEval(n, _gap(probs, target),
                        Thresholds.from_log(log_k0, log_inv_k1, target.alpha), probs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(3, 17), s=st.integers(20, 600), t_count=st.integers(100, 2000),
+       seed=st.integers(0, 2**32), nu=st.floats(1.0, 30.0), mu=st.floats(0.0, 3.0),
+       sigma=st.floats(1e-3, 1.0), alpha=st.floats(0.001, 0.499),
+       power=st.floats(0.501, 0.999), pi0=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["conditional", "unconditional"]), n=st.integers(1, N_MAX))
+def test_kernel_gap_equals_q_space_gap(m, s, t_count, seed, nu, mu, sigma, alpha, power,
+                                       pi0, mode, n):
+    # an order-statistic search may replace the kernel search only if the two
+    # evaluate alike: the gap, both log cutoffs and every probability
+    target = SsdTarget(mode, alpha=alpha, power=power, pi0=pi0)
+    args = (m, target, Priors(ANALYSIS, FoldedT(nu, mu, sigma)), SimSizes(s, t_count), seed)
+    assert ssd._GapEvaluator(*args)(n) == _QSpaceEvaluator(*args)(n)
 
 
 # The paper-default tables, written by

@@ -3,12 +3,15 @@
 Runs the ``replisize`` subcommands in-process at small simulation sizes
 (ssd as CSV and JSON, unconditional ssd, sensitivity as CSV and JSON, and
 again at two design-prior locations whose searches halve down from N_INIT,
-predictive with one and two workers, analyze at S = 600 and S = 60 000),
-masks the ``wall_time_ms`` values, and prints ``<sha256>  <file>`` for every file written and
-``<sha256>  <run> (stdout)`` for what each run printed.  It then runs every ``demos/*.py`` of this
-checkout in a fresh process against the same package and prints
-``<sha256>  <demo> (stdout+stderr)``; the demos cover library values no CLI
-run reaches (quantiles, densities, quadrature).  Last comes
+predictive with one and two workers, analyze at S = 600 and S = 60 000,
+and an ssd run whose target no m reaches, which exits 1), checks each run's
+exit code, masks the ``wall_time_ms`` values, and prints ``<sha256>  <file>``
+for every file written, ``<sha256>  <run> (stdout)`` for what each run printed
+and ``<sha256>  <run> (warnings)`` for the WARNING lines a run logged, if
+any.  It then runs every ``demos/*.py`` of this checkout in a fresh process
+against the same package and prints ``<sha256>  <demo> (stdout+stderr)``;
+the demos cover library values no CLI run reaches (quantiles, densities,
+quadrature).  Last comes
 ``<sha256>  replisize.__all__``, a digest of the sorted (name, defining
 module) pairs of the package's public API.  Two checkouts whose outputs and
 public names agree print the same lines:
@@ -25,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -47,7 +51,7 @@ SITE_EFFECTS = "t\n0.11\n0.39\n0.25\n0.2\n"
 
 PREDICTIVE_SIZES = ["--override", "s=2000", "--override", "t_count=5000"]
 
-# (output name, argv after the config arguments)
+# (output name, argv after the config arguments[, expected exit code, default 0])
 RUNS = [
     ("ssd.csv", ["ssd", "--out", "{out}"]),
     ("ssd.json", ["ssd", "--out", "{out}"]),
@@ -69,6 +73,10 @@ RUNS = [
     # s large enough that a one-row call runs in several blocks plus a tail
     ("analyze_s60000.json", ["analyze", "--data", "{data}", "--n", "50",
                              "--override", "s=60000", "--out", "{out}"]),
+    # the unconditional plateau lies below power 0.96 for m = 6 and 8: each
+    # search doubles to N_MAX, logs the gap there, and the run exits 1
+    ("ssd_infeasible.csv", ["ssd", "--override", "target.mode=unconditional",
+                            "--override", "target.power=0.96", "--out", "{out}"], 1),
 ]
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -111,19 +119,29 @@ def main(argv=None):
             Path("sites.csv").write_text(SITE_EFFECTS)
             outputs = Path("outputs")
             outputs.mkdir()
-            stdouts = []
-            for name, tail in RUNS:
+            stdouts, warnings = [], []
+            for name, tail, *expected in RUNS:
                 argv = [tail[0], "--config", "config.json"] + [
                     arg.format(out=outputs / name, data="sites.csv") for arg in tail[1:]]
-                with contextlib.redirect_stdout(io.StringIO()) as printed:
-                    code = cli.main(argv)
-                if code != 0:
+                logged = logging.StreamHandler(io.StringIO())
+                logged.setLevel(logging.WARNING)
+                logging.getLogger().addHandler(logged)
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()) as printed:
+                        code = cli.main(argv)
+                finally:
+                    logging.getLogger().removeHandler(logged)
+                if code != next(iter(expected), 0):
                     raise SystemExit(f"{' '.join(argv)} exited {code}")
                 stdouts.append((name, printed.getvalue()))
+                if logged.stream.getvalue():
+                    warnings.append((name, logged.stream.getvalue()))
             for path in sorted(p for p in outputs.rglob("*") if p.is_file()):
                 print(f"{masked_digest(path.read_bytes())}  {path.relative_to(outputs)}")
             for name, text in stdouts:
                 print(f"{masked_digest(text.encode())}  {name} (stdout)")
+            for name, text in warnings:
+                print(f"{masked_digest(text.encode())}  {name} (warnings)")
             for demo in sorted(DEMOS.glob("*.py")):
                 digest = masked_digest(demo_output(demo, src, tmp))
                 print(f"{digest}  demos/{demo.name} (stdout+stderr)")
