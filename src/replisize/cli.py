@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -65,28 +65,6 @@ DEFAULT_CONFIG = {
     "target": {"mode": "conditional", "alpha": 0.01, "power": 0.8, "pi0": 0.5},
 }
 
-# Every key a configuration may hold, each with the keys of its object value.
-_PRIOR_KEYS = {"family", "nu", "mu", "sigma"}
-_CONFIG_KEYS = {
-    "analysis_prior": _PRIOR_KEYS, "design_prior": _PRIOR_KEYS,
-    "target": {"mode", "alpha", "power", "pi0"}, "cost": {"c1", "c2"},
-    "s": set(), "t_count": set(), "seed": set(), "m_values": set(), "workers": set(),
-}
-
-
-@dataclass
-class RunConfig:
-    analysis_prior: object
-    s: int
-    seed: int
-    design_prior: object = None
-    t_count: int = None
-    m_values: list = None
-    target: SsdTarget = None
-    cost: CostSpec = None
-    workers: int = 1
-
-
 def _load_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -120,27 +98,21 @@ def apply_override(cfg, spec):
 
 def parse_m_values(spec):
     """Parse a site-count spec: '8', '3,5,8', or an inclusive range '3..17'."""
+    lo, sep, hi = spec.partition("..")
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..")
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(tok) for tok in spec.split(",") if tok]
+        values = [int(lo), int(hi)] if sep else [int(tok) for tok in spec.split(",") if tok]
     except ValueError:
         raise ConfigError(f"cannot parse site counts from {spec!r}")
+    if sep:  # both ends are bounded before the range is built
+        lo, hi = _m_values(values)
+        values = list(range(lo, hi + 1))
     if not values:
         raise ConfigError(f"empty site-count spec {spec!r}")
     return values
 
 
-def _require(cfg, name):
-    if name not in cfg or cfg[name] is None:
-        raise ConfigError(f"config is missing required field '{name}'")
-    return cfg[name]
-
-
 def resolve_config(args, *, need=()):
-    """Merge config file / defaults / overrides into a validated RunConfig."""
+    """Merge config file / defaults / overrides into a validated run namespace."""
     if args.config and args.paper_defaults:
         raise ConfigError("use either --config or --paper-defaults, not both")
     if args.config:
@@ -163,72 +135,97 @@ def resolve_config(args, *, need=()):
 
 def _parse(name, build, *args):
     """``build(*args)``, with any error it raises about a bad value reported
-    as a ConfigError about ``name``."""
+    as a ConfigError about ``name``; a ConfigError passes unchanged."""
     try:
         return build(*args)
+    except ConfigError:
+        raise
     except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as err:
         raise ConfigError(f"{name}: {err}") from None
 
 
-def _check_keys(cfg):
-    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
-    unknown += [f"{key}.{sub}" for key, value in cfg.items()
-                if key in _CONFIG_KEYS and isinstance(value, dict)
-                for sub in value if sub not in _CONFIG_KEYS[key]]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+def _count(name, low, high=math.inf):
+    """Parser of an integer field ``name`` in [low, high]."""
+    def parse(value):
+        number = int(value)
+        # int() would quietly turn true into 1 and 600.7 into 600
+        if isinstance(value, bool) or (isinstance(value, float) and number != value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not low <= number <= high:
+            raise ConfigError(f"{name} must lie in [{low}, {high}], got {number}")
+        return number
+    return parse
 
 
-def _int_at_least(name, value, low):
-    number = _parse(name, int, value)
-    # int() would quietly turn true into 1 and 600.7 into 600
-    if isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if number < low:
-        raise ConfigError(f"{name} must be >= {low}, got {number}")
-    return number
+_FLOAT64_INTS = 2**53 - 1  # the kernel computes in float64, exact for integers up to here
+_site_count = _count("m_values", 3, _FLOAT64_INTS)
+
+
+def _m_values(values):
+    if not isinstance(values, list) or not values:
+        raise ConfigError("m_values must be a non-empty list of integers")
+    return [_site_count(m) for m in values]
+
+
+def _require(spec, key):
+    if spec.get(key) is None:
+        raise ValueError(f"config is missing required field '{key}'")
+    return spec[key]
+
+
+def _target(spec):
+    return SsdTarget(mode=spec.get("mode", "conditional"),
+                     alpha=_number("alpha", _require(spec, "alpha")),
+                     power=_number("power", _require(spec, "power")),
+                     pi0=_number("pi0", spec.get("pi0", 0.5)))
+
+
+def _cost(spec):
+    return CostSpec(c1=_number("c1", _require(spec, "c1")),
+                    c2=_number("c2", _require(spec, "c2")))
+
+
+# Every config key: the parser of its value and the keys its object value may hold.
+_PRIOR_KEYS = ("family", "nu", "mu", "sigma")
+_FIELDS = {
+    "analysis_prior": (prior_from_dict, _PRIOR_KEYS),
+    "design_prior": (prior_from_dict, _PRIOR_KEYS),
+    "s": (_count("s", 100, _FLOAT64_INTS), ()),
+    "t_count": (_count("t_count", 100, _FLOAT64_INTS), ()),
+    "seed": (_count("seed", 0), ()),  # SeedSequence takes any nonnegative int
+    "m_values": (_m_values, ()),
+    # each worker thread holds its own chunk buffer
+    "workers": (_count("workers", 1, os.cpu_count() or 1), ()),
+    "target": (_target, ("mode", "alpha", "power", "pi0")),
+    "cost": (_cost, ("c1", "c2")),
+}
 
 
 def _validate_config(cfg, need):
     """Parse and range-check every field present; ``need`` names the
     optional fields the subcommand requires."""
-    _check_keys(cfg)
-    for name in need:
-        _require(cfg, name)
-    run = RunConfig(
-        analysis_prior=_parse("analysis_prior", prior_from_dict,
-                              _require(cfg, "analysis_prior")),
-        s=_int_at_least("s", _require(cfg, "s"), 100),
-        seed=_int_at_least("seed", _require(cfg, "seed"), 0),
-        workers=_int_at_least("workers", cfg.get("workers", 1), 1),
-    )
-    # each worker thread holds its own chunk buffer
-    if run.workers > (os.cpu_count() or 1):
-        raise ConfigError(f"workers must be <= the CPU count {os.cpu_count() or 1}, "
-                          f"got {run.workers}")
-    if cfg.get("design_prior") is not None:
-        run.design_prior = _parse("design_prior", prior_from_dict, cfg["design_prior"])
-    if cfg.get("t_count") is not None:
-        run.t_count = _int_at_least("t_count", cfg["t_count"], 100)
-    values = cfg.get("m_values")
-    if values is not None:
-        if not isinstance(values, list) or not values:
-            raise ConfigError("m_values must be a non-empty list of integers")
-        # DesignPoint bounds m from above
-        run.m_values = [_parse("m_values", DesignPoint, 1, _int_at_least("m_values", m, 3)).m
-                        for m in values]
-    spec = cfg.get("target")
-    if spec is not None:
-        run.target = _parse("target", lambda: SsdTarget(
-            mode=spec.get("mode", "conditional"),
-            alpha=_number("alpha", _require(spec, "alpha")),
-            power=_number("power", _require(spec, "power")),
-            pi0=_number("pi0", spec.get("pi0", 0.5)),
-        ))
-    spec = cfg.get("cost")
-    if spec is not None:
-        run.cost = _parse("cost", lambda: CostSpec(c1=_number("c1", _require(spec, "c1")),
-                                                   c2=_number("c2", _require(spec, "c2"))))
+    unknown = [key for key in cfg if key not in _FIELDS]
+    unknown += [f"{key}.{sub}" for key, value in cfg.items()
+                if key in _FIELDS and isinstance(value, dict)
+                for sub in value if sub not in _FIELDS[key][1]]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for name in ("analysis_prior", "s", "seed", *need):
+        if cfg.get(name) is None:
+            raise ConfigError(f"config is missing required field '{name}'")
+    run = argparse.Namespace(**{**dict.fromkeys(_FIELDS), "workers": 1})
+    for name, value in cfg.items():
+        if value is not None:
+            setattr(run, name, _parse(name, _FIELDS[name][0], value))
+    # At its peak a search or predictive run holds (3 + 2 * workers) * s + 7 * t_count
+    # float64: S prior draws, the kernel's a and b and two-row chunk buffers (s > 65 536);
+    # T design draws, q0, q1, two log BF01 vectors and two temporaries.  ru_maxrss grew
+    # by just that from s and from t_count = 1e6 to 2e6 (m = 8, one and two workers).
+    held = 8 * ((3 + 2 * run.workers) * run.s + 7 * (run.t_count or 0))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if held > memory:
+        raise ConfigError(f"s={run.s} and t_count={run.t_count} need about {held} bytes, "
+                          f"more than this machine's {memory}")
     return run
 
 

@@ -357,6 +357,12 @@ def _result(row):
     ["analyze", "--data", "{good_csv}", "--n", str(2**64)],
     ["predictive", "--n", str(10**23), "--m", "8"],
     ["ssd", "--m", str(10**23)],
+    # simulation sizes beyond float64's integers, or beyond any machine's memory
+    ["ssd", "--override", f"s={10**23}"],
+    ["predictive", "--n", "80", "--m", "8", "--override", f"t_count={10**23}"],
+    ["ssd", "--override", f"s={10**15}"],
+    # a range is bounded before it is built
+    ["ssd", "--m", f"3..{10**23}"],
 ], ids=["s", "s-infinite", "workers", "workers-zero", "m-values", "prior-nan",
         "output-format", "unknown-keys", "unknown-prior-key", "predictive-n",
         "predictive-m", "analyze-data", "sensitivity-late-negative-location",
@@ -369,7 +375,8 @@ def _result(row):
         "analyze-output-path", "workers-above-cpu-count", "analysis-prior-nu-tiny",
         "config-not-found", "config-top-level-list", "override-through-list",
         "m-empty-range", "m-values-not-a-list", "analyze-n-too-large",
-        "predictive-n-too-large", "m-too-large"])
+        "predictive-n-too-large", "m-too-large", "s-too-large", "t-count-too-large",
+        "s-beyond-memory", "m-range-too-large"])
 def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path, sweeps,
                                              capsys):
     bad_csv = tmp_path / "sites.csv"
@@ -386,6 +393,7 @@ def test_bad_input_exits_2_before_any_search(argv, tmp_path, config_path, sweeps
     assert code == 2
     assert "config error" in err and "Traceback" not in err
     assert sweeps == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,6 +427,26 @@ def test_counts_accept_integral_floats_and_errors_name_the_field(tmp_path, confi
                                "analysis_prior: nu must be a number, got True")]:
         assert main(["ssd", "--config", str(config_path), "--override", override]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_seed_has_no_upper_bound(tmp_path, config_path):
+    out = tmp_path / "out.csv"
+    assert main(["ssd", "--config", str(config_path), "--seed", str(2**64),
+                 "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "out.csv.meta.json").read_text())["seed"] == 2**64
+
+
+def test_memory_rule_counts_the_float64_a_run_holds(monkeypatch):
+    cfg = {**SMALL_CONFIG, "workers": 1}
+    held = 8 * ((3 + 2) * SMALL_CONFIG["s"] + 7 * SMALL_CONFIG["t_count"])
+    for memory, ok in [(held, True), (held - 1, False)]:
+        monkeypatch.setattr(cli.os, "sysconf",
+                            {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
+        if ok:
+            assert cli._validate_config(cfg, need=set()).s == SMALL_CONFIG["s"]
+        else:
+            with pytest.raises(ConfigError, match=f"need about {held} bytes"):
+                cli._validate_config(cfg, need=set())
 
 
 def test_config_and_paper_defaults_conflict(config_path, capsys):

@@ -4,7 +4,8 @@ Runs the ``replisize`` subcommands in-process at small simulation sizes
 (ssd as CSV and JSON, unconditional ssd, sensitivity as CSV and JSON, and
 again at two design-prior locations whose searches halve down from N_INIT,
 predictive with one and two workers, analyze at S = 600 and S = 60 000,
-and an ssd run whose target no m reaches, which exits 1), checks each run's
+an ssd run whose target no m reaches, which exits 1, and an ssd run whose s
+is too large, which exits 2 with no output), checks each run's
 exit code, masks the ``wall_time_ms`` values, and prints ``<sha256>  <file>``
 for every file written, ``<sha256>  <run> (stdout)`` for what each run printed
 and ``<sha256>  <run> (warnings)`` for the WARNING lines a run logged, if
@@ -77,6 +78,9 @@ RUNS = [
     # search doubles to N_MAX, logs the gap there, and the run exits 1
     ("ssd_infeasible.csv", ["ssd", "--override", "target.mode=unconditional",
                             "--override", "target.power=0.96", "--out", "{out}"], 1),
+    # a config error: exits 2 before any draw, writing no file and no stdout
+    ("ssd_oversized.csv", ["ssd", "--override", "s=100000000000000000000000",
+                           "--out", "{out}"], 2),
 ]
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
